@@ -30,16 +30,13 @@ from typing import Any, Mapping
 
 from repro.ablation.planner import AblationPlan, CellPlan
 from repro.ablation.registry import baseline_pipeline, configs_without
-from repro.fleet.seeding import derive_seed
 from repro.governors.adaptive import AdaptiveGovernor
-from repro.online.inject import StepDriftJitter
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.offline import TrainedController, build_controller
-from repro.platform.board import Board
-from repro.platform.jitter import LogNormalJitter, NoJitter
 from repro.platform.switching import SwitchLatencyModel, SwitchTimeTable
 from repro.programs.interpreter import Interpreter
 from repro.runtime.executor import TaskLoopRunner
+from repro.runtime.seeded import derive_seed, seeded_board
 from repro.telemetry import DecisionRecord, Telemetry
 from repro.telemetry.energy import EnergyLedger
 from repro.workloads.registry import get_app
@@ -247,26 +244,20 @@ def run_cell(cell: CellPlan) -> CellResult:
         # and switch draws, so per-job deltas are paired comparisons.
         return derive_seed(root, "ablate", cell.workload, scenario.name, purpose)
 
-    board = Board(
-        opps=controller.dvfs.opps,
-        switcher=SwitchLatencyModel(
-            controller.dvfs.opps, seed=stream_seed("switch")
+    board = seeded_board(
+        controller.dvfs.opps,
+        jitter_sigma=scenario.jitter_sigma,
+        jitter_seed=stream_seed("jitter"),
+        switch_seed=stream_seed("switch"),
+        drift=(
+            (
+                scenario.drift_factor,
+                scenario.drift_at_frac * cell.n_jobs * budget,
+            )
+            if scenario.drifts
+            else None
         ),
     )
-    base = (
-        LogNormalJitter(scenario.jitter_sigma, seed=stream_seed("jitter"))
-        if scenario.jitter_sigma > 0
-        else NoJitter()
-    )
-    if scenario.drifts:
-        board.cpu.jitter = StepDriftJitter(
-            base,
-            scenario.drift_factor,
-            shift_at_s=scenario.drift_at_frac * cell.n_jobs * budget,
-            clock=lambda: board.now,
-        )
-    else:
-        board.cpu.jitter = base
 
     governor = AdaptiveGovernor.from_controller(
         controller, config=adaptive, interpreter=_INTERPRETER

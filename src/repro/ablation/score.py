@@ -31,7 +31,8 @@ from typing import Sequence
 
 from repro.ablation.registry import get_component
 from repro.ablation.runner import AblationResult, CellResult
-from repro.fleet.seeding import derive_seed
+from repro.runtime.seeded import derive_seed
+from repro.telemetry.metrics import percentile
 from repro.telemetry.provenance import diff_decisions
 
 __all__ = [
@@ -50,18 +51,7 @@ BOOTSTRAP_RESAMPLES = 600
 
 def _percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile (q in [0, 100]); NaN when empty."""
-    if not values:
-        return float("nan")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    lo = int(math.floor(rank))
-    hi = int(math.ceil(rank))
-    if lo == hi:
-        return ordered[lo]
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    return percentile(values, q) if values else float("nan")
 
 
 def _nan_to_zero(value: float) -> float:

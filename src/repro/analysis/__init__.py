@@ -2,7 +2,8 @@
 
 from repro.analysis.harness import GOVERNOR_NAMES, Lab, default_n_jobs
 from repro.analysis.render import format_bar, format_heatmap, format_table
-from repro.analysis.stats import geometric_mean, normalize_to, percentile
+from repro.analysis.stats import geometric_mean, normalize_to
+from repro.telemetry.metrics import percentile
 
 __all__ = [
     "GOVERNOR_NAMES",

@@ -24,17 +24,14 @@ the Fig. 17 predictor envelope.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 from repro.analysis.harness import Lab
 from repro.analysis.render import format_table
-from repro.online.inject import StepDriftJitter, scale_inputs
-from repro.platform.board import Board
-from repro.platform.jitter import LogNormalJitter, NoJitter
-from repro.platform.switching import SwitchLatencyModel
+from repro.online.inject import scale_inputs
 from repro.runtime.executor import TaskLoopRunner
 from repro.runtime.records import JobRecord
+from repro.runtime.seeded import derive_seed
 
 __all__ = ["DriftRow", "DriftAdaptationResult", "run", "render"]
 
@@ -144,27 +141,9 @@ def run(
     results = {}
     for name in governors:
         governor = lab.make_governor(name, app_name)
-        run_seed = zlib.crc32(
-            f"{lab.seed}|drift|{app_name}|{name}".encode()
-        )
-        base = (
-            LogNormalJitter(lab.jitter_sigma, seed=run_seed)
-            if lab.jitter_sigma > 0
-            else NoJitter()
-        )
-        board = Board(
-            opps=lab.opps,
-            power=lab.power,
-            switcher=SwitchLatencyModel(lab.opps, seed=run_seed),
-        )
-        # Time-triggered drift: jobs release periodically, so the shift
-        # lands on the same job for every governor regardless of how many
-        # jitter samples its overhead charging draws.
-        board.cpu.jitter = StepDriftJitter(
-            base,
-            slowdown,
-            shift_at_s=shift_job * app.task.budget_s,
-            clock=lambda: board.now,
+        board = lab.make_board(
+            derive_seed(lab.seed, "drift", app_name, name),
+            drift=(slowdown, shift_job * app.task.budget_s),
         )
         runner = TaskLoopRunner(
             board=board,

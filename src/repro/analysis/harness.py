@@ -9,7 +9,6 @@ and tests share one code path.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, replace
 
 from repro.governors.base import Governor
@@ -24,7 +23,6 @@ from repro.governors.powersave import PowersaveGovernor
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.offline import TrainedController, build_controller
 from repro.platform.board import Board
-from repro.platform.jitter import LogNormalJitter, NoJitter
 from repro.platform.opp import OppTable, default_xu3_a7_table
 from repro.platform.power import PowerModel
 from repro.platform.switching import SwitchLatencyModel
@@ -32,6 +30,7 @@ from repro.programs.interpreter import Interpreter
 from repro.runtime.executor import TaskLoopRunner
 from repro.runtime.placement import PredictorPlacement
 from repro.runtime.records import RunResult
+from repro.runtime.seeded import derive_seed, seeded_board
 from repro.telemetry import NO_TELEMETRY, Telemetry, TraceSession
 from repro.workloads.base import InteractiveApp
 from repro.workloads.registry import get_app
@@ -214,18 +213,21 @@ class Lab:
             f"or 'prediction-batch<N>'"
         )
 
-    def make_board(self, run_seed: int) -> Board:
-        """A fresh board with this Lab's noise level and a derived seed."""
-        jitter = (
-            LogNormalJitter(self.jitter_sigma, seed=run_seed)
-            if self.jitter_sigma > 0
-            else NoJitter()
-        )
-        return Board(
-            opps=self.opps,
+    def make_board(
+        self, run_seed: int, drift: tuple[float, float] | None = None
+    ) -> Board:
+        """A fresh board with this Lab's noise level and a derived seed.
+
+        ``drift`` is :func:`~repro.runtime.seeded.seeded_board`'s
+        ``(factor, shift_at_s)`` time-triggered slowdown.
+        """
+        return seeded_board(
+            self.opps,
+            jitter_sigma=self.jitter_sigma,
+            jitter_seed=run_seed,
+            switch_seed=run_seed,
             power=self.power,
-            switcher=SwitchLatencyModel(self.opps, seed=run_seed),
-            jitter=jitter,
+            drift=drift,
         )
 
     # -- running -------------------------------------------------------------------
@@ -276,8 +278,8 @@ class Lab:
         governor = self.make_governor(governor_name, app_name, pipeline_config)
         # Derive a run seed that differs per configuration but is stable
         # ACROSS PROCESSES (builtin hash() is salted per interpreter run).
-        run_seed = zlib.crc32(
-            f"{self.seed}|{app_name}|{governor_name}|{key.budget_ms}".encode()
+        run_seed = derive_seed(
+            self.seed, app_name, governor_name, key.budget_ms
         )
         board = self.make_board(run_seed)
         task = app.task.with_budget(budget)

@@ -4,15 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["percentile", "normalize_to", "geometric_mean"]
-
-
-def percentile(values, pct: float) -> float:
-    """The ``pct``-th percentile of ``values``."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot take a percentile of no values")
-    return float(np.percentile(arr, pct))
+__all__ = ["normalize_to", "geometric_mean"]
 
 
 def normalize_to(values, reference: float) -> list[float]:

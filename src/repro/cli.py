@@ -396,13 +396,8 @@ def _watch_command(argv: list[str]) -> int:
     consumer); a live dashboard repaints as jobs complete.  Exit code 1
     when any page-severity SLO alert fired, else 0.
     """
-    import zlib
-
-    from repro.online.inject import StepDriftJitter
-    from repro.platform.board import Board
-    from repro.platform.jitter import LogNormalJitter, NoJitter
-    from repro.platform.switching import SwitchLatencyModel
     from repro.runtime.executor import TaskLoopRunner
+    from repro.runtime.seeded import derive_seed
     from repro.telemetry import Telemetry, Watchdog, WatchdogConfig
     from repro.telemetry.slo import default_slos, specs_from_json
     from repro.telemetry.watch import render_dashboard
@@ -524,29 +519,15 @@ def _watch_command(argv: list[str]) -> int:
 
     # Deterministic per-(app, governor) seeding, stable across processes,
     # so a committed gate baseline reproduces in CI.
-    run_seed = zlib.crc32(
-        f"{lab.seed}|watch|{args.app}|{args.governor}".encode()
+    shift_job = int(args.jobs * args.drift_at)
+    board = lab.make_board(
+        derive_seed(lab.seed, "watch", args.app, args.governor),
+        drift=(
+            (args.drift, shift_job * app.task.budget_s)
+            if args.drift != 1.0
+            else None
+        ),
     )
-    base = (
-        LogNormalJitter(lab.jitter_sigma, seed=run_seed)
-        if lab.jitter_sigma > 0
-        else NoJitter()
-    )
-    board = Board(
-        opps=lab.opps,
-        power=lab.power,
-        switcher=SwitchLatencyModel(lab.opps, seed=run_seed),
-    )
-    if args.drift != 1.0:
-        shift_job = int(args.jobs * args.drift_at)
-        board.cpu.jitter = StepDriftJitter(
-            base,
-            args.drift,
-            shift_at_s=shift_job * app.task.budget_s,
-            clock=lambda: board.now,
-        )
-    else:
-        board.cpu.jitter = base
 
     live = not args.quiet and sys.stdout.isatty()
     frame_lines = 0
@@ -915,13 +896,9 @@ def _profile_command(argv: list[str]) -> int:
     metrics file feeds ``repro report --gate BENCH_host_baseline.json
     --runs host.``.  Exit codes: 0 ok, 2 bad input.
     """
-    import zlib
-
     from repro.pipeline.config import PipelineConfig
-    from repro.platform.board import Board
-    from repro.platform.jitter import LogNormalJitter, NoJitter
-    from repro.platform.switching import SwitchLatencyModel
     from repro.runtime.executor import TaskLoopRunner
+    from repro.runtime.seeded import derive_seed
     from repro.telemetry.hostprof import (
         HostProfiler,
         StackSampler,
@@ -1013,18 +990,8 @@ def _profile_command(argv: list[str]) -> int:
     # Same deterministic seeding scheme as `repro watch`, so the
     # *simulated* run underneath the profile reproduces exactly; only
     # the host timings vary run to run.
-    run_seed = zlib.crc32(
-        f"{lab.seed}|profile|{args.app}|{args.governor}".encode()
-    )
-    board = Board(
-        opps=lab.opps,
-        power=lab.power,
-        switcher=SwitchLatencyModel(lab.opps, seed=run_seed),
-    )
-    board.cpu.jitter = (
-        LogNormalJitter(lab.jitter_sigma, seed=run_seed)
-        if lab.jitter_sigma > 0
-        else NoJitter()
+    board = lab.make_board(
+        derive_seed(lab.seed, "profile", args.app, args.governor)
     )
 
     sampler = (
@@ -1081,13 +1048,9 @@ def _energy_command(argv: list[str]) -> int:
     report --gate BENCH_energy_baseline.json --runs energy.``.  Exit
     codes: 0 ok, 1 conservation violated, 2 bad input.
     """
-    import zlib
-
     from repro.pipeline.config import PipelineConfig
-    from repro.platform.board import Board
-    from repro.platform.jitter import LogNormalJitter, NoJitter
-    from repro.platform.switching import SwitchLatencyModel
     from repro.runtime.executor import TaskLoopRunner
+    from repro.runtime.seeded import derive_seed
     from repro.telemetry.energy import (
         CONSERVATION_TOL_J,
         EnergyLedger,
@@ -1170,18 +1133,8 @@ def _energy_command(argv: list[str]) -> int:
 
     # Same deterministic seeding scheme as `repro watch`/`repro profile`,
     # so an attributed run reproduces exactly and can be baselined.
-    run_seed = zlib.crc32(
-        f"{lab.seed}|energy|{args.app}|{args.governor}".encode()
-    )
-    board = Board(
-        opps=lab.opps,
-        power=lab.power,
-        switcher=SwitchLatencyModel(lab.opps, seed=run_seed),
-    )
-    board.cpu.jitter = (
-        LogNormalJitter(lab.jitter_sigma, seed=run_seed)
-        if lab.jitter_sigma > 0
-        else NoJitter()
+    board = lab.make_board(
+        derive_seed(lab.seed, "energy", args.app, args.governor)
     )
 
     ledger = EnergyLedger(board.power, board.opps)

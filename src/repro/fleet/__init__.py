@@ -40,10 +40,11 @@ from repro.fleet.arrivals import (
     arrival_from_dict,
 )
 from repro.fleet.coordinator import FleetOutcome, FleetSpec, run_fleet
-from repro.fleet.seeding import derive_seed, session_seed
+from repro.fleet.seeding import session_seed
 from repro.fleet.session import SessionResult, run_session
 from repro.fleet.shard import ShardPlan, ShardResult, plan_shards, run_shard
 from repro.fleet.tenant import TenantSpec, tenants_from_json, tenants_to_json
+from repro.runtime.seeded import derive_seed
 
 __all__ = [
     "ARRIVAL_KINDS",

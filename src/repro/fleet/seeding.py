@@ -1,4 +1,4 @@
-"""Seed derivation for the fleet: one root, stable named children.
+"""Seed paths for the fleet: one root, stable named children.
 
 The whole determinism contract of the fleet simulator rests on this
 module: every random stream a session uses (its input script, its
@@ -8,30 +8,15 @@ the shard or worker that happens to execute it.  Two fleets with the
 same root seed therefore produce bit-identical per-session results
 regardless of how sessions were partitioned.
 
-Derivation uses :func:`zlib.crc32` over the rendered path, the same
-cross-process-stable scheme :class:`repro.analysis.harness.Lab` uses
-for run seeds (builtin ``hash()`` is salted per interpreter run, so it
-must never leak into a seed path).
+Paths render through :func:`repro.runtime.seeded.derive_seed`, the one
+cross-process-stable derivation every seeded run in the package uses.
 """
 
 from __future__ import annotations
 
-import zlib
+from repro.runtime.seeded import derive_seed
 
-__all__ = ["derive_seed", "session_seed"]
-
-
-def derive_seed(root: int, *path: object) -> int:
-    """A 32-bit child seed for the stream named by ``path``.
-
-    Path components are rendered with ``str`` and joined with ``|``,
-    so ``derive_seed(7, "video", 3)`` differs from
-    ``derive_seed(7, "video", 31)`` and from
-    ``derive_seed(7, "video3")`` — component boundaries are part of
-    the name.
-    """
-    rendered = "|".join(str(part) for part in (root, *path))
-    return zlib.crc32(rendered.encode())
+__all__ = ["session_seed"]
 
 
 def session_seed(root: int, tenant: str, index: int, purpose: str) -> int:

@@ -22,14 +22,11 @@ import random
 from dataclasses import dataclass
 
 from repro.analysis.harness import Lab
-from repro.fleet.seeding import derive_seed, session_seed
+from repro.fleet.seeding import session_seed
 from repro.fleet.tenant import TenantSpec
-from repro.online.inject import StepDriftJitter
 from repro.pipeline.config import PipelineConfig
-from repro.platform.board import Board
-from repro.platform.jitter import LogNormalJitter, NoJitter
-from repro.platform.switching import SwitchLatencyModel
 from repro.runtime.executor import TaskLoopRunner
+from repro.runtime.seeded import derive_seed, seeded_board
 from repro.telemetry import NO_TELEMETRY
 from repro.telemetry.energy import EnergyLedger, EnergyState
 from repro.telemetry.hostprof import HostProfiler
@@ -153,28 +150,19 @@ class Session:
         )
         arrivals = tenant.arrival.arrivals(n_jobs, budget, arrival_rng)
 
-        jitter_seed = session_seed(root, tenant.name, index, "jitter")
-        base = (
-            LogNormalJitter(tenant.jitter_sigma, seed=jitter_seed)
-            if tenant.jitter_sigma > 0
-            else NoJitter()
-        )
-        board = Board(
-            opps=lab.opps,
-            switcher=SwitchLatencyModel(
-                lab.opps,
-                seed=session_seed(root, tenant.name, index, "switch"),
+        drifts = tenant.drift_factor is not None and tenant.drift_factor != 1.0
+        board = seeded_board(
+            lab.opps,
+            jitter_sigma=tenant.jitter_sigma,
+            jitter_seed=session_seed(root, tenant.name, index, "jitter"),
+            switch_seed=session_seed(root, tenant.name, index, "switch"),
+            power=lab.power,
+            drift=(
+                (tenant.drift_factor, tenant.drift_at_frac * n_jobs * budget)
+                if drifts
+                else None
             ),
         )
-        if tenant.drift_factor is not None and tenant.drift_factor != 1.0:
-            board.cpu.jitter = StepDriftJitter(
-                base,
-                tenant.drift_factor,
-                shift_at_s=tenant.drift_at_frac * n_jobs * budget,
-                clock=lambda: board.now,
-            )
-        else:
-            board.cpu.jitter = base
 
         self.energy_ledger = (
             EnergyLedger(board.power, board.opps) if energy else None

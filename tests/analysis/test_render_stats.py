@@ -3,7 +3,8 @@
 import pytest
 
 from repro.analysis.render import format_bar, format_heatmap, format_table
-from repro.analysis.stats import geometric_mean, normalize_to, percentile
+from repro.analysis import percentile
+from repro.analysis.stats import geometric_mean, normalize_to
 
 
 class TestFormatTable:

@@ -1,6 +1,7 @@
 """Seed derivation: stability, path sensitivity, shard independence."""
 
-from repro.fleet.seeding import derive_seed, session_seed
+from repro.fleet.seeding import session_seed
+from repro.runtime.seeded import derive_seed
 
 
 class TestDeriveSeed:

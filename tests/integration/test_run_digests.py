@@ -1,0 +1,188 @@
+"""Golden run digests: every hand-assembled run, pinned bit for bit.
+
+Each case builds a run the way one production entry point does (the
+Lab, the ``watch`` / ``profile`` / ``energy`` commands, the drift
+study, a fleet session, an ablation cell, the multi-task runner) and
+hashes its per-job records plus total energy.  A refactor of how runs
+are seeded, how boards are assembled, or how the job loop executes
+must leave every digest unchanged; a deliberate behaviour change must
+update the digest it moves and say why.
+
+To regenerate after an intended change, run this file with
+``REPRO_PRINT_DIGESTS=1`` and ``-s`` and paste the printed values.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import os
+
+import pytest
+
+from repro.ablation.planner import CellPlan, Scenario, Variant
+from repro.ablation.runner import run_cell
+from repro.analysis.experiments import drift_adaptation
+from repro.analysis.harness import Lab
+from repro.cli import main
+from repro.fleet.session import FleetBuild, run_session
+from repro.fleet.tenant import TenantSpec
+from repro.governors.performance import PerformanceGovernor
+from repro.governors.powersave import PowersaveGovernor
+from repro.pipeline.config import PipelineConfig
+from repro.platform.board import Board
+from repro.platform.jitter import LogNormalJitter
+from repro.platform.opp import default_xu3_a7_table
+from repro.runtime.executor import TaskLoopRunner
+from repro.runtime.multitask import MultiTaskRunner, TaskStream
+from repro.workloads.registry import get_app
+
+PROFILE_JOBS = 30
+
+GOLDEN = {
+    "lab.rijndael.performance": "bd201e0129b65b4c9e97edee212e8cfb43bcb431bae1d139a871c3b386768b39",
+    "lab.rijndael.interactive": "bcb957cc1d2c9cf640ecc67365d02289d4e21d5ed30c6f387b8895abedf81eac",
+    "lab.rijndael.prediction": "93df455b0b8ec7a892e5c4a8238e11dda46b354567010ecba4f66ec9fa65492c",
+    "lab.2048.performance": "03bf54e169487950115ea8babab9f77875c1c2939a2643f56418889b8f774ac1",
+    "lab.2048.interactive": "642e78e6e1f409aff6a2a57e12645667ad4195191155f2619a774003a343323d",
+    "lab.2048.prediction": "4190baf2a495548291a40c68b6e3381c9c68299bad948870d5b76c7e226b1906",
+    "cli.watch.drift": "c27cb491d56176261bb0cd2a93ea13ff5e164e1268f72059da8bf9851539b0e7",
+    "cli.profile": "b8d4edcccf781715ec405414fe4d4768e6a085e0620aa3ad5e41fe2548703f38",
+    "cli.energy": "454d507d4c74afe69a675c825debe563abb4e0e7257f5159af74016f58136f52",
+    "drift_study": "9104b055a6a70dec73e09f1cd5422df9cd749cc70a5ac4d27a80d87f62e6bb6f",
+    "fleet.session.drift": "04aa6ebb525975af6e98aa2f1e376570548513f23276e1bf01866ff2d52476e0",
+    "ablation.cell.drift": "55aa22d176ee155af27c10e087cc219028b5cee1622ee527b98d135ede2e8e45",
+    "multitask.performance_powersave": "1d18143589fe1ae464650bbad50692c3fa28636fc7ad68a149360f38d2c3013e",
+}
+
+
+def _digest(results) -> str:
+    """SHA-256 over canonical JSON of per-job records and energy."""
+    payload = [
+        {
+            "jobs": [dataclasses.asdict(job) for job in result.jobs],
+            "energy_j": result.energy_j,
+        }
+        for result in results
+    ]
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _check(name: str, results) -> None:
+    assert results, f"{name} ran nothing"
+    digest = _digest(results)
+    if os.environ.get("REPRO_PRINT_DIGESTS"):
+        print(f'    "{name}": "{digest}",')
+    assert digest == GOLDEN[name], f"{name} run digest changed"
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Every RunResult a TaskLoopRunner hands out, in order."""
+    results = []
+    original = TaskLoopRunner.result
+
+    def capture(self):
+        result = original(self)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(TaskLoopRunner, "result", capture)
+    return results
+
+
+@pytest.fixture(scope="module")
+def lab():
+    return Lab(
+        pipeline_config=PipelineConfig(n_profile_jobs=PROFILE_JOBS),
+        switch_samples=20,
+    )
+
+
+@pytest.mark.parametrize("app", ["rijndael", "2048"])
+@pytest.mark.parametrize(
+    "governor", ["performance", "interactive", "prediction"]
+)
+def test_lab_run(lab, app, governor):
+    result = lab.run(app, governor, n_jobs=40, use_cache=False)
+    _check(f"lab.{app}.{governor}", [result])
+
+
+def test_watch_drift(captured, capsys):
+    # Exit 1 is a fired SLO page, expected under an injected drift.
+    assert main([
+        "watch", "2048", "--governor", "prediction", "--jobs", "40",
+        "--drift", "1.5", "--quiet",
+    ]) in (0, 1)
+    _check("cli.watch.drift", captured)
+
+
+def test_profile(captured, capsys, tmp_path):
+    assert main([
+        "profile", "rijndael", "--governor", "prediction", "--jobs", "30",
+        "--profile-jobs", str(PROFILE_JOBS), "--sample-interval", "0",
+        "--out", str(tmp_path),
+    ]) == 0
+    _check("cli.profile", captured)
+
+
+def test_energy(captured, capsys):
+    assert main([
+        "energy", "rijndael", "--governor", "prediction", "--jobs", "30",
+        "--profile-jobs", str(PROFILE_JOBS),
+    ]) == 0
+    _check("cli.energy", captured)
+
+
+def test_drift_study(lab, captured):
+    drift_adaptation.run(lab, app_name="rijndael", n_jobs=60)
+    _check("drift_study", captured)
+
+
+def test_fleet_session_with_drift(captured):
+    tenant = TenantSpec(
+        name="drifty",
+        app="sha",
+        governor="prediction",
+        jobs_per_session=30,
+        drift_factor=1.4,
+    )
+    build = FleetBuild(root_seed=7, profile_jobs=PROFILE_JOBS, switch_samples=10)
+    run_session(tenant, 1, build)
+    _check("fleet.session.drift", captured)
+
+
+def test_ablation_drift_cell(captured):
+    cell = CellPlan(
+        workload="rijndael",
+        scenario=Scenario("drift", drift_factor=1.4),
+        variant=Variant("baseline", ()),
+        seed=7,
+        n_jobs=30,
+        profile_jobs=PROFILE_JOBS,
+        switch_samples=5,
+    )
+    run_cell(cell)
+    _check("ablation.cell.drift", captured)
+
+
+def test_multitask_performance_powersave():
+    opps = default_xu3_a7_table()
+    board = Board(opps=opps, jitter=LogNormalJitter(0.05, seed=5))
+    sha = get_app("sha")
+    rijndael = get_app("rijndael")
+    results = MultiTaskRunner(
+        board,
+        [
+            TaskStream(sha.task, PerformanceGovernor(opps), sha.inputs(20, 3)),
+            TaskStream(
+                rijndael.task,
+                PowersaveGovernor(opps),
+                rijndael.inputs(20, 3),
+                offset_s=0.01,
+            ),
+        ],
+    ).run()
+    _check("multitask.performance_powersave", results.values())

@@ -11,6 +11,7 @@ from repro.programs.expr import Var
 from repro.programs.ir import Block, Loop, Program
 from repro.runtime.multitask import MultiTaskRunner, TaskStream
 from repro.runtime.task import Task
+from repro.telemetry.energy import EnergyLedger
 
 OPPS = default_xu3_a7_table()
 
@@ -185,3 +186,77 @@ class TestPredictiveStreams:
         # Both controllers really made decisions (predictor time charged).
         assert results["sha"].mean_predictor_time_s > 0
         assert results["xpilot"].mean_predictor_time_s > 0
+
+
+class TestSharedJobLoop:
+    """Streams run through the executor's job loop on the shared board."""
+
+    def test_energy_ledger_conserves_and_numbers_interleaved_jobs(self):
+        board = Board()
+        ledger = EnergyLedger(board.power, board.opps)
+        MultiTaskRunner(
+            board,
+            [
+                stream("a", cycles=9e6, n_jobs=5),
+                stream(
+                    "b",
+                    cycles=3e6,
+                    n_jobs=7,
+                    offset_s=0.020,
+                    governor=PowersaveGovernor(OPPS),
+                ),
+            ],
+            energy=ledger,
+        ).run()
+        assert ledger.conservation_error_j(board.energy_j()) <= 1e-9
+        assert ledger.state().jobs == 12
+        # One ledger row per interleaved job: no two streams share one.
+        # (Row -1 holds the governors' start-up switches.)
+        rows = {job for job, _, _ in ledger.cells()}
+        assert rows - {-1} == set(range(12))
+
+    def test_adaptive_feedback_is_charged(self):
+        from repro.analysis.harness import Lab
+        from repro.pipeline.config import PipelineConfig
+
+        lab = Lab(
+            pipeline_config=PipelineConfig(n_profile_jobs=30),
+            switch_samples=10,
+        )
+        sha = lab.app("sha")
+        results = MultiTaskRunner(
+            Board(),
+            [
+                TaskStream(
+                    sha.task, lab.make_governor("adaptive", "sha"),
+                    sha.inputs(10, 1),
+                ),
+                stream("ui", cycles=2e6, n_jobs=10, offset_s=0.025),
+            ],
+        ).run()
+        adaptive = results["sha"].jobs
+        assert all(job.adaptation_time_s > 0 for job in adaptive[1:])
+        assert all(job.adaptation_time_s == 0 for job in results["ui"].jobs)
+
+    def test_switch_count_is_per_stream(self):
+        board = Board()
+        results = MultiTaskRunner(
+            board,
+            [
+                stream("fast", cycles=2e6, n_jobs=4),
+                stream(
+                    "slow",
+                    cycles=2e6,
+                    n_jobs=4,
+                    offset_s=0.025,
+                    governor=PowersaveGovernor(OPPS),
+                ),
+            ],
+        ).run()
+        # The streams pull the shared core to opposite ends of the
+        # ladder, so every job switches and counts on its own stream.
+        assert results["fast"].switch_count == 4
+        assert results["slow"].switch_count == 4
+        # The board also counts powersave's start-up switch to fmin,
+        # which belongs to no job.
+        assert board.switch_count == 9
