@@ -17,6 +17,8 @@ by ``batch_size``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.governors.base import Decision, JobContext
 from repro.governors.predictive import PredictiveGovernor
 from repro.models.timing import TimePrediction
@@ -57,27 +59,20 @@ class BatchPredictiveGovernor(PredictiveGovernor):
         if ctx.index % self.batch_size != 0:
             # Mid-batch: hold the level, pay nothing.
             return None
-        board = ctx.board
         outcome = self.analyze(ctx)
-        if ctx.charge_overheads:
-            slice_time = board.cpu.execution_time(
-                outcome.slice_work, board.current_opp
-            )
-            board.busy_run(slice_time, tag="predictor")
-            effective_budget = (
-                ctx.deadline_s - board.now - self.switch_estimate_s(ctx)
-            )
-        else:
-            effective_budget = ctx.deadline_s - board.now
+        slice_time = self.charge_slice(ctx, outcome)
         inflate = 1.0 + self.batch_margin
-        prediction = TimePrediction(
-            t_fmax_s=outcome.prediction.t_fmax_s * inflate,
-            t_fmin_s=outcome.prediction.t_fmin_s * inflate,
+        # The inflated times are an extrapolation, not a model output:
+        # dropping the raw features keeps them out of the provenance
+        # replay, which re-derives predictions from the model alone.
+        batch = replace(
+            outcome,
+            prediction=TimePrediction(
+                t_fmax_s=outcome.prediction.t_fmax_s * inflate,
+                t_fmin_s=outcome.prediction.t_fmin_s * inflate,
+            ),
+            raw=None,
         )
-        opp = self.dvfs.choose_opp(
-            prediction.t_fmin_s, prediction.t_fmax_s, effective_budget
+        return self.budget_and_choose(
+            ctx, batch, slice_time=slice_time, mode="batch"
         )
-        components = self.dvfs.components(
-            prediction.t_fmin_s, prediction.t_fmax_s
-        )
-        return Decision(opp, predicted_time_s=components.time_at(opp.freq_hz))

@@ -30,7 +30,8 @@ import repro
 from repro.analysis.experiments import drift_adaptation
 from repro.analysis.harness import Lab
 from repro.pipeline.persist import load_controller, save_controller
-from repro.telemetry import TraceSession
+from repro.runtime.placement import PredictorPlacement
+from repro.telemetry import Telemetry, TraceSession
 from repro.telemetry.audit import (
     SCHEMA_VERSION,
     AnchorSnapshot,
@@ -293,6 +294,41 @@ class TestReplay:
         assert result.matched == result.total
         assert not result.counterfactual
         assert "bit-exact" in render_replay(result)
+
+    @pytest.mark.parametrize(
+        "placement",
+        [PredictorPlacement.PIPELINED, PredictorPlacement.PARALLEL],
+    )
+    def test_overlapped_placements_replay_bit_exactly(
+        self, traced_lab, placement, monkeypatch
+    ):
+        """Pipelined and parallel decisions take the same budget-and-
+        choose path as sequential ones, provenance included."""
+        _, lab = traced_lab
+        telemetry = Telemetry(name="placement")
+        monkeypatch.setattr(lab, "telemetry_for", lambda name: telemetry)
+        lab.run("rijndael", "prediction", n_jobs=20, placement=placement)
+        records = telemetry.decisions
+        assert len(records) == 20
+        assert all(r.attribution is not None for r in records)
+        result = replay_records(records, lab.controller("rijndael").dvfs)
+        assert result.matched == result.total == 20
+
+    def test_batch_decisions_are_audited_without_provenance(
+        self, traced_lab, monkeypatch
+    ):
+        _, lab = traced_lab
+        telemetry = Telemetry(name="batch")
+        monkeypatch.setattr(lab, "telemetry_for", lambda name: telemetry)
+        lab.run("rijndael", "prediction-batch4", n_jobs=8)
+        heads = [r for r in telemetry.decisions if r.mode == "batch"]
+        assert [r.job_index for r in heads] == [0, 4]
+        assert all(r.attribution is None for r in heads)
+        assert all(not math.isnan(r.effective_budget_s) for r in heads)
+        result = replay_records(
+            telemetry.decisions, lab.controller("rijndael").dvfs
+        )
+        assert result.replayed == 0
 
     def test_adaptive_replay_is_bit_exact(self, traced_adaptive):
         lab, records = traced_adaptive
