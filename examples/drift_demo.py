@@ -79,9 +79,6 @@ def main():
     print(f"\nthe adaptive governor raised {adaptive_gov.drift_events} drift "
           f"alarm(s), recalibrated in fallback, and re-engaged prediction "
           f"(final mode: {adaptive_gov.mode.name})")
-    print(f"safety margin settled at "
-          f"{adaptive_gov.predictor.margin.value:.1%} "
-          f"(the paper's fixed margin: 10.0%)")
 
     print(f"\nenergy   performance: {reference.energy_j:7.3f} J   (1.00)")
     for name, result in (("prediction", frozen), ("adaptive", adaptive)):

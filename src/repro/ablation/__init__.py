@@ -2,7 +2,7 @@
 
 The reproduction's governor stack is a pile of load-bearing mechanisms
 (asymmetric loss, safety margin, program slicing, online recalibration,
-certifier bound-skip, AIMD margin adaptation, fallback arming).  This
+certifier bound-skip, fallback arming).  This
 package turns "we believe component X matters" into ranked, CI-gated,
 regenerable evidence:
 

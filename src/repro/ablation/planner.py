@@ -19,9 +19,9 @@ the worker, so results are byte-identical for every worker count.
 
 Each variant carries a *fingerprint*: a digest of the merged
 (pipeline, adaptive) configs it runs with.  Pairwise combinations whose
-merged configs collapse onto an already-planned variant (disabling AIMD
-adaptation on top of a zero margin changes nothing, for example) are
-dropped at planning time rather than burned as duplicate compute, so a
+merged configs collapse onto an already-planned variant (two components
+whose off-states override the same fields, for example) are dropped at
+planning time rather than burned as duplicate compute, so a
 plan never contains two variants with the same fingerprint.
 """
 

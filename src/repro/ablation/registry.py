@@ -69,11 +69,6 @@ class Component:
             :class:`PipelineConfig` when this component is disabled.
         adaptive_off: ``(field, value)`` overrides on the baseline
             :class:`AdaptiveConfig` when this component is disabled.
-        adaptive_post: Optional transform applied *after* all static
-            overrides merged — for off-states that are relative to the
-            merged config rather than absolute values (the AIMD freeze
-            pins floor/ceiling to whatever the merged initial margin
-            is, so it composes with the margin-off component).
     """
 
     name: str
@@ -81,7 +76,6 @@ class Component:
     summary: str
     pipeline_off: tuple[tuple[str, object], ...] = ()
     adaptive_off: tuple[tuple[str, object], ...] = ()
-    adaptive_post: Callable[[AdaptiveConfig], AdaptiveConfig] | None = None
 
     @property
     def retrains_controller(self) -> bool:
@@ -108,15 +102,10 @@ COMPONENTS: tuple[Component, ...] = (
         title="safety margin",
         summary=(
             "Inflate predictions by a safety margin before picking a "
-            "frequency (paper §3.4); off = margin pinned to zero, "
-            "offline and online."
+            "frequency (paper §3.4); off = margin pinned to zero (the "
+            "online predictor inherits the offline one)."
         ),
         pipeline_off=(("margin", 0.0),),
-        adaptive_off=(
-            ("margin_initial", 0.0),
-            ("margin_floor", 0.0),
-            ("margin_ceiling", 0.0),
-        ),
     ),
     Component(
         name="slicing",
@@ -150,20 +139,6 @@ COMPONENTS: tuple[Component, ...] = (
             "off = the certificate is ignored at run time."
         ),
         adaptive_off=(("bound_skip", False),),
-    ),
-    Component(
-        name="aimd_margin",
-        title="AIMD margin adaptation",
-        summary=(
-            "Widen the margin multiplicatively on misses and decay it "
-            "while compliant; off = margin frozen at its initial value "
-            "(the paper's fixed 10% on the baseline)."
-        ),
-        adaptive_post=lambda cfg: replace(
-            cfg,
-            margin_floor=cfg.margin_initial,
-            margin_ceiling=cfg.margin_initial,
-        ),
     ),
     Component(
         name="fallback",
@@ -247,9 +222,6 @@ def configs_without(
             pipeline = replace(pipeline, **dict(component.pipeline_off))
         if component.adaptive_off:
             adaptive = replace(adaptive, **dict(component.adaptive_off))
-    for component in COMPONENTS:
-        if component.name in wanted and component.adaptive_post is not None:
-            adaptive = component.adaptive_post(adaptive)
     return pipeline, adaptive
 
 

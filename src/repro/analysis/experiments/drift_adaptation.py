@@ -53,7 +53,6 @@ class DriftRow:
         mean_predictor_ms: Mean per-job prediction-slice time.
         mean_adaptation_ms: Mean per-job feedback (recalibration) time.
         drift_events: Drift alarms raised (adaptive governor only).
-        final_margin: Safety margin at end of run (NaN unless adaptive).
         p95_exec_ms: 95th-percentile per-job execution time.
         p05_slack_ms: 5th-percentile slack — the tight tail (negative
             means the tail missed).
@@ -68,7 +67,6 @@ class DriftRow:
     mean_predictor_ms: float
     mean_adaptation_ms: float
     drift_events: int = 0
-    final_margin: float = float("nan")
     p95_exec_ms: float = float("nan")
     p05_slack_ms: float = float("nan")
 
@@ -165,12 +163,6 @@ def run(
         result, governor = results[name]
         jobs = result.jobs
         drift_events = getattr(governor, "drift_events", 0)
-        # Adaptive governors expose an AdaptiveMargin object; the frozen
-        # predictor's margin is a plain float and reports NaN here.
-        margin = getattr(
-            getattr(governor, "predictor", None), "margin", None
-        )
-        final_margin = getattr(margin, "value", float("nan"))
         rows.append(
             DriftRow(
                 governor=name,
@@ -186,7 +178,6 @@ def run(
                 mean_predictor_ms=result.mean_predictor_time_s * 1e3,
                 mean_adaptation_ms=result.mean_adaptation_time_s * 1e3,
                 drift_events=drift_events,
-                final_margin=final_margin,
                 p95_exec_ms=result.exec_time_percentile(95) * 1e3,
                 p05_slack_ms=result.slack_percentile(5) * 1e3,
             )

@@ -2,9 +2,9 @@
 
 The offline pipeline (paper Fig. 13) trains once; this package closes
 the loop at run time — streaming residual statistics, drift detection,
-incremental recalibration of the execution-time model, and the adaptive
-safety margin.  The :class:`~repro.governors.adaptive.AdaptiveGovernor`
-composes these pieces over the frozen predictive governor.
+and incremental recalibration of the execution-time model.  The
+:class:`~repro.governors.adaptive.AdaptiveGovernor` composes these
+pieces over the frozen predictive governor.
 """
 
 from repro.online.drift import (
@@ -15,11 +15,7 @@ from repro.online.drift import (
 )
 from repro.online.inject import StepDriftJitter, scale_inputs
 from repro.online.predictor import OnlineTimePredictor
-from repro.online.recalibrate import (
-    AdaptiveMargin,
-    OnlineAnchorModel,
-    RecursiveLeastSquares,
-)
+from repro.online.recalibrate import OnlineAnchorModel, RecursiveLeastSquares
 from repro.online.residuals import (
     Ewma,
     P2Quantile,
@@ -35,7 +31,6 @@ __all__ = [
     "StepDriftJitter",
     "scale_inputs",
     "OnlineTimePredictor",
-    "AdaptiveMargin",
     "OnlineAnchorModel",
     "RecursiveLeastSquares",
     "Ewma",

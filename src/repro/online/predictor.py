@@ -8,6 +8,7 @@ without knowing the coefficients underneath move.  Encoding and
 polynomial expansion are reused from the wrapped offline predictor —
 the slice computes the same features either way.
 
+The safety margin is the offline predictor's fixed one (paper §3.4).
 The predictor also remembers the last encoded feature vector and raw
 prediction: the adaptive governor reads both after the job completes to
 close the feedback loop without re-running the slice.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.timing import ExecutionTimePredictor, TimePrediction
-from repro.online.recalibrate import AdaptiveMargin, OnlineAnchorModel
+from repro.online.recalibrate import OnlineAnchorModel
 from repro.programs.interpreter import RawFeatures
 
 __all__ = ["OnlineTimePredictor"]
@@ -28,9 +29,8 @@ class OnlineTimePredictor:
     """Anchor-time predictions from online-recalibrated models.
 
     Args:
-        offline: The trained offline predictor (encoder, expansion, and
-            warm-start coefficients come from it).
-        margin: Adaptive safety margin (replaces the offline fixed one).
+        offline: The trained offline predictor (encoder, expansion,
+            safety margin, and warm-start coefficients come from it).
         lam: RLS forgetting factor for both anchor models.
         p0: RLS initial covariance scale.
         under_weight: Per-sample weight for under-predicted jobs (the
@@ -40,7 +40,6 @@ class OnlineTimePredictor:
     def __init__(
         self,
         offline: ExecutionTimePredictor,
-        margin: AdaptiveMargin | None = None,
         lam: float = 0.98,
         p0: float = 0.05,
         under_weight: float = 25.0,
@@ -48,9 +47,7 @@ class OnlineTimePredictor:
         self.offline = offline
         self.encoder = offline.encoder
         self.expansion = offline.expansion
-        self.margin = margin if margin is not None else AdaptiveMargin(
-            initial=offline.margin
-        )
+        self.margin = offline.margin
         self.model_fmax = OnlineAnchorModel(
             coef=self._coef(offline.model_fmax.coef_),
             intercept=offline.model_fmax.intercept_,
@@ -107,7 +104,7 @@ class OnlineTimePredictor:
         )
         self.last_x = x
         self.last_raw = prediction
-        factor = 1.0 + self.margin.value
+        factor = 1.0 + self.margin
         return TimePrediction(
             t_fmax_s=prediction.t_fmax_s * factor,
             t_fmin_s=prediction.t_fmin_s * factor,
@@ -132,10 +129,8 @@ class OnlineTimePredictor:
         return {
             "model_fmax": self.model_fmax.state_dict(),
             "model_fmin": self.model_fmin.state_dict(),
-            "margin": self.margin.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
         self.model_fmax.load_state_dict(state["model_fmax"])
         self.model_fmin.load_state_dict(state["model_fmin"])
-        self.margin.load_state_dict(state["margin"])

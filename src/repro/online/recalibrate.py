@@ -2,20 +2,15 @@
 
 The offline pipeline fits the asymmetric Lasso once (paper Fig. 13); at
 run time this module keeps those coefficients honest with exponentially
-weighted recursive least squares (RLS) on the same slice features.  Two
-paper ideas carry over into the online setting:
-
-- The **asymmetric penalty** (paper §3.3) is approximated by per-sample
-  weighting: a job the current model under-predicted enters the RLS
-  update with weight ``under_weight`` (> 1), so corrections that prevent
-  deadline misses happen much faster than corrections that merely save
-  energy.  This is the standard iteratively-reweighted view of the
-  asymmetric quadratic loss, restricted to one pass because samples
-  stream by exactly once.
-- The **safety margin** (paper §3.4, fixed at 10%) becomes adaptive:
-  :class:`AdaptiveMargin` widens multiplicatively when jobs miss and
-  decays slowly toward a floor while the observed miss rate sits below
-  target — a classic AIMD loop on the margin knob.
+weighted recursive least squares (RLS) on the same slice features.  The
+paper's **asymmetric penalty** (§3.3) carries over as per-sample
+weighting: a job the current model under-predicted enters the RLS update
+with weight ``under_weight`` (> 1), so corrections that prevent deadline
+misses happen much faster than corrections that merely save energy.
+This is the standard iteratively-reweighted view of the asymmetric
+quadratic loss, restricted to one pass because samples stream by
+exactly once.  The safety margin (§3.4) stays the offline predictor's
+fixed one.
 
 Sparsity is *not* revisited online: the slice was generated from the
 offline support, so the online model can only reweight features the
@@ -29,9 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.online.residuals import Ewma
-
-__all__ = ["RecursiveLeastSquares", "OnlineAnchorModel", "AdaptiveMargin"]
+__all__ = ["RecursiveLeastSquares", "OnlineAnchorModel"]
 
 
 class RecursiveLeastSquares:
@@ -234,84 +227,3 @@ class OnlineAnchorModel:
                 np.zeros(self.n_features + 1), lam=self.lam, p0=self.p0
             )
             self._rls.load_state_dict(state["rls"])
-
-
-class AdaptiveMargin:
-    """AIMD safety margin driven by the observed miss rate.
-
-    Replaces the paper's fixed 10% inflation (§3.4): every miss widens
-    the margin multiplicatively (misses are expensive and must be reacted
-    to immediately); while the smoothed miss rate sits at or below the
-    target, the margin decays geometrically toward its floor, clawing the
-    energy headroom back.
-
-    Args:
-        initial: Starting margin (the paper's 0.10 by default).
-        floor: Smallest margin the decay may reach.
-        ceiling: Largest margin a miss burst may reach.
-        target_miss_rate: Acceptable smoothed miss rate; below it the
-            margin is allowed to shrink.
-        widen_factor: Multiplicative widening per missed job.
-        decay: Geometric shrink per compliant job.
-        miss_alpha: Smoothing weight of the miss-rate EWMA.
-    """
-
-    def __init__(
-        self,
-        initial: float = 0.10,
-        floor: float = 0.04,
-        ceiling: float = 0.40,
-        target_miss_rate: float = 0.02,
-        widen_factor: float = 1.4,
-        decay: float = 0.995,
-        miss_alpha: float = 0.05,
-    ):
-        if not 0.0 <= floor <= initial <= ceiling:
-            raise ValueError(
-                f"need 0 <= floor <= initial <= ceiling, got "
-                f"{floor}/{initial}/{ceiling}"
-            )
-        if widen_factor <= 1.0:
-            raise ValueError(f"widen_factor must be > 1, got {widen_factor}")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        self.value = initial
-        self.floor = floor
-        self.ceiling = ceiling
-        self.target_miss_rate = target_miss_rate
-        self.widen_factor = widen_factor
-        self.decay = decay
-        self._miss_ewma = Ewma(miss_alpha)
-
-    def update(self, missed: bool) -> float:
-        """Fold one job outcome in; returns the new margin."""
-        miss_rate = self._miss_ewma.update(1.0 if missed else 0.0)
-        if missed:
-            self.value = min(self.ceiling, self.value * self.widen_factor)
-        elif miss_rate <= self.target_miss_rate:
-            self.value = max(self.floor, self.value * self.decay)
-        return self.value
-
-    @property
-    def miss_rate(self) -> float:
-        return self._miss_ewma.get()
-
-    def state_dict(self) -> dict[str, Any]:
-        return {
-            "value": self.value,
-            "floor": self.floor,
-            "ceiling": self.ceiling,
-            "target_miss_rate": self.target_miss_rate,
-            "widen_factor": self.widen_factor,
-            "decay": self.decay,
-            "miss_ewma": self._miss_ewma.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        self.value = float(state["value"])
-        self.floor = float(state["floor"])
-        self.ceiling = float(state["ceiling"])
-        self.target_miss_rate = float(state["target_miss_rate"])
-        self.widen_factor = float(state["widen_factor"])
-        self.decay = float(state["decay"])
-        self._miss_ewma.load_state_dict(state["miss_ewma"])

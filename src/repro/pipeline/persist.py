@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
-_ADAPTIVE_FORMAT_VERSION = 1
+_ADAPTIVE_FORMAT_VERSION = 2
 
 
 def _opp_to_dict(point: OperatingPoint) -> dict[str, Any]:
@@ -208,9 +208,9 @@ def save_adaptive_state(governor, path: str | Path) -> None:
     This is the run-time counterpart of :func:`save_controller`: the
     offline artifacts are the distribution format, while this captures
     what the feedback loop has learned since deployment — recalibrated
-    coefficients, covariances, the adaptive margin, and the drift
-    detector/monitor state — so a service restart resumes adaptation
-    instead of restarting it from the offline fit.
+    coefficients, covariances, and the drift detector/monitor state — so
+    a service restart resumes adaptation instead of restarting it from
+    the offline fit.
 
     Args:
         governor: An object exposing ``state_dict()`` (an

@@ -291,9 +291,9 @@ def build_provenance(
 def predictor_fingerprint(predictor: Any) -> str:
     """Short stable hash of the coefficients a predictor decides with.
 
-    Two runs with the same fingerprint share the exact β (and margin
-    when it is a plain float); the controller persistence layer embeds
-    it so a replayed trace can be matched to its controller file.
+    Two runs with the same fingerprint share the exact β and margin;
+    the controller persistence layer embeds it so a replayed trace can
+    be matched to its controller file.
     """
     digest = hashlib.sha256()
     for model in (predictor.model_fmax, predictor.model_fmin):
@@ -302,10 +302,7 @@ def predictor_fingerprint(predictor: Any) -> str:
         digest.update(repr(snapshot.coef).encode())
         digest.update(repr(snapshot.intercept).encode())
         digest.update(repr(snapshot.scales).encode())
-    margin = getattr(predictor, "margin", None)
-    margin = getattr(margin, "value", margin)
-    if isinstance(margin, (int, float)):
-        digest.update(repr(float(margin)).encode())
+    digest.update(repr(float(predictor.margin)).encode())
     return digest.hexdigest()[:16]
 
 

@@ -528,7 +528,6 @@ GATE_DEFAULT_METRICS = (
     "ablate.slicing.importance",
     "ablate.recalibration.importance",
     "ablate.bound_skip.importance",
-    "ablate.aimd_margin.importance",
     "ablate.fallback.importance",
 )
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ablation import planner
 from repro.ablation.planner import (
     DEFAULT_SCENARIOS,
     AblationPlan,
@@ -111,18 +112,29 @@ class TestMatrixProperties:
 
 
 class TestDedup:
-    def test_margin_aimd_pair_collapses_onto_margin_alone(self):
+    def test_pair_collapsing_onto_a_single_is_dropped(self, monkeypatch):
+        """No registered pair merges onto another variant's configs, so
+        stand one in: pretend asymmetric loss off changes nothing once
+        the margin is off."""
+        real = planner._fingerprint
+
+        def fingerprint(disabled, *sizes):
+            if set(disabled) == {"asymmetric_loss", "safety_margin"}:
+                disabled = ("safety_margin",)
+            return real(disabled, *sizes)
+
+        monkeypatch.setattr(planner, "_fingerprint", fingerprint)
         plan = plan_matrix(
             ["rijndael"],
-            components=["safety_margin", "aimd_margin"],
+            components=["asymmetric_loss", "safety_margin"],
             pairwise=True,
         )
         names = [v.name for v in plan.variants]
         assert names == [
-            "baseline", "no-safety_margin", "no-aimd_margin"
+            "baseline", "no-asymmetric_loss", "no-safety_margin"
         ]
         assert plan.dropped_duplicates == (
-            "no-safety_margin+no-aimd_margin (== no-safety_margin)",
+            "no-asymmetric_loss+no-safety_margin (== no-safety_margin)",
         )
 
     def test_distinct_pairs_survive(self):

@@ -28,9 +28,7 @@ class TestRegistryShape:
     def test_every_component_actually_disables_something(self):
         for component in COMPONENTS:
             assert (
-                component.pipeline_off
-                or component.adaptive_off
-                or component.adaptive_post is not None
+                component.pipeline_off or component.adaptive_off
             ), component.name
 
     def test_unknown_component_lists_valid_names(self):
@@ -50,35 +48,17 @@ class TestConfigsWithout:
         assert pipeline.alpha == 1.0
         assert adaptive.under_weight == 1.0
 
-    def test_safety_margin_off_pins_zero_offline_and_online(self):
+    def test_safety_margin_off_is_one_offline_knob(self):
+        """The online predictor inherits the offline margin, so zeroing
+        the pipeline's is the whole off-state."""
         pipeline, adaptive = configs_without(("safety_margin",))
         assert pipeline.margin == 0.0
-        assert adaptive.margin_initial == 0.0
-        assert adaptive.margin_floor == 0.0
-        assert adaptive.margin_ceiling == 0.0
+        assert adaptive == baseline_adaptive()
 
     def test_slicing_off_runs_the_full_program(self):
         pipeline, _ = configs_without(("slicing",))
         assert pipeline.slice_mode == "full"
         assert pipeline.certify == "warn"
-
-    def test_aimd_off_freezes_margin_at_initial(self):
-        _, adaptive = configs_without(("aimd_margin",))
-        base = baseline_adaptive()
-        assert adaptive.margin_initial == base.margin_initial
-        assert adaptive.margin_floor == base.margin_initial
-        assert adaptive.margin_ceiling == base.margin_initial
-
-    def test_aimd_composes_with_zero_margin(self):
-        """The historical validator trap: freezing AIMD on top of a
-        zero margin must freeze at zero, not at the default 10%."""
-        _, adaptive = configs_without(("safety_margin", "aimd_margin"))
-        assert adaptive.margin_initial == 0.0
-        assert adaptive.margin_floor == 0.0
-        assert adaptive.margin_ceiling == 0.0
-        # ...which makes the pair indistinguishable from margin-off
-        # alone (the planner drops the duplicate).
-        assert adaptive == configs_without(("safety_margin",))[1]
 
     def test_merge_order_is_caller_independent(self):
         ab = configs_without(("fallback", "recalibration"))

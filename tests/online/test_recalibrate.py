@@ -1,13 +1,9 @@
-"""Tests for the RLS recalibrator, anchor model, and adaptive margin."""
+"""Tests for the RLS recalibrator and the online anchor model."""
 
 import numpy as np
 import pytest
 
-from repro.online.recalibrate import (
-    AdaptiveMargin,
-    OnlineAnchorModel,
-    RecursiveLeastSquares,
-)
+from repro.online.recalibrate import OnlineAnchorModel, RecursiveLeastSquares
 
 
 def stream(true_coef, n, seed=0, noise=0.0):
@@ -136,44 +132,3 @@ class TestOnlineAnchorModel:
             model.predict_one(probe)
         )
         assert other.n_updates == model.n_updates
-
-
-class TestAdaptiveMargin:
-    def test_miss_widens_multiplicatively(self):
-        margin = AdaptiveMargin(initial=0.10, widen_factor=1.4)
-        assert margin.update(missed=True) == pytest.approx(0.14)
-
-    def test_ceiling_caps_widening(self):
-        margin = AdaptiveMargin(initial=0.10, ceiling=0.20)
-        for _ in range(10):
-            margin.update(missed=True)
-        assert margin.value == pytest.approx(0.20)
-
-    def test_decays_toward_floor_when_compliant(self):
-        margin = AdaptiveMargin(initial=0.10, floor=0.04, decay=0.9)
-        for _ in range(200):
-            margin.update(missed=False)
-        assert margin.value == pytest.approx(0.04)
-
-    def test_no_decay_while_miss_rate_above_target(self):
-        margin = AdaptiveMargin(
-            initial=0.10, target_miss_rate=0.02, miss_alpha=0.5
-        )
-        margin.update(missed=True)
-        widened = margin.value
-        # Miss EWMA (0.5) is far above target: the margin must hold.
-        margin.update(missed=False)
-        assert margin.value == widened
-
-    def test_ordering_validated(self):
-        with pytest.raises(ValueError):
-            AdaptiveMargin(initial=0.05, floor=0.10)
-
-    def test_state_round_trip(self):
-        margin = AdaptiveMargin()
-        for missed in (True, False, False, True, False):
-            margin.update(missed)
-        other = AdaptiveMargin()
-        other.load_state_dict(margin.state_dict())
-        assert other.value == margin.value
-        assert other.miss_rate == margin.miss_rate

@@ -1,6 +1,7 @@
 """Tests for adaptive-state persistence (save/load_adaptive_state)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -30,10 +31,6 @@ class TestAdaptiveStateFile:
         load_adaptive_state(restored, path)
         assert restored.mode is trained_governor.mode
         assert restored.drift_events == trained_governor.drift_events
-        assert (
-            restored.predictor.margin.value
-            == trained_governor.predictor.margin.value
-        )
         assert restored.residuals() == trained_governor.residuals()
 
     def test_restored_governor_predicts_identically(
@@ -52,7 +49,7 @@ class TestAdaptiveStateFile:
         path = tmp_path / "adaptive.json"
         save_adaptive_state(trained_governor, path)
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
         assert "predictor" in payload["state"]
 
     def test_unknown_version_rejected(
@@ -65,4 +62,14 @@ class TestAdaptiveStateFile:
         path.write_text(json.dumps(payload))
         fresh = AdaptiveGovernor(make_predictive(toy_stack))
         with pytest.raises(ValueError, match="format version"):
+            load_adaptive_state(fresh, path)
+
+    def test_version_1_file_rejected(self, toy_stack):
+        """A version-1 file (written when the predictor state still held
+        an adaptive-margin entry) fails the version check, not a lookup
+        of a key that no longer exists."""
+        path = Path(__file__).parent / "data" / "adaptive_state_v1.json"
+        assert "margin" in json.loads(path.read_text())["state"]["predictor"]
+        fresh = AdaptiveGovernor(make_predictive(toy_stack))
+        with pytest.raises(ValueError, match="format version 1"):
             load_adaptive_state(fresh, path)

@@ -21,7 +21,7 @@ def populated(name="run", jobs=3, misses=1):
     for _ in range(misses):
         tel.metrics.counter("executor.misses").inc()
     tel.instant("drift.alarm", 0.07, track="online")
-    tel.metrics.gauge("adaptive.margin").set(0.12)
+    tel.metrics.gauge("adaptive.detector_statistic").set(0.12)
     tel.record_decision(
         DecisionRecord(
             job_index=0, t_s=0.0, governor="g", opp_mhz=600.0, mode="predict"
@@ -37,7 +37,7 @@ class TestRenderReport:
         assert "job" in text
         assert "drift.alarm" in text
         assert "executor.jobs" in text
-        assert "adaptive.margin" in text
+        assert "adaptive.detector_statistic" in text
         assert "decisions: 1 audited" in text
 
     def test_span_stats_aggregated(self):
