@@ -1,7 +1,8 @@
 """Golden run digests: every hand-assembled run, pinned bit for bit.
 
 Each case builds a run the way one production entry point does (the
-Lab under each predictor placement and with overheads uncharged, the
+Lab for every app under the prediction governor, under each predictor
+placement, with overheads uncharged and under the charged oracle, the
 ``watch`` / ``profile`` / ``energy`` commands, the drift study, a fleet
 session, an ablation cell, the multi-task runner) and hashes its
 per-job records plus total energy; the adaptive ``watch`` case hashes
@@ -59,6 +60,13 @@ GOLDEN = {
     "lab.2048.performance": "03bf54e169487950115ea8babab9f77875c1c2939a2643f56418889b8f774ac1",
     "lab.2048.interactive": "642e78e6e1f409aff6a2a57e12645667ad4195191155f2619a774003a343323d",
     "lab.2048.prediction": "4190baf2a495548291a40c68b6e3381c9c68299bad948870d5b76c7e226b1906",
+    "lab.curseofwar.prediction": "560499479b5274371569f42d11a124e20538c125d37d03a5272cdcf35aebc076",
+    "lab.ldecode.prediction": "364f6e3528603e26d274bd5c5f9e0be7243f005c1656d4dbedbec952fec044e0",
+    "lab.pocketsphinx.prediction": "a53856bea5cedadfcf8465ff1536fb91f1be6e0b9cba4aae8d8825733327cee9",
+    "lab.sha.prediction": "e15c1f4ec3ff3b58c11dfd6a5344d3f06bbede8401b912a0c585b13867f55c8c",
+    "lab.uzbl.prediction": "9ee2669aa829494d85122c9d9dc997edb2138aeacdef064d67a09f7c360f1863",
+    "lab.xpilot.prediction": "98e40015b5f8f04ca3cc103f77d1d4099cb2fad1df236d9060dad90b70b33028",
+    "lab.sha.oracle": "41ff962498cce736e34a85a0ffb38b57bfdbef33c6f9791dfc971235e4b92466",
     "lab.rijndael.prediction.pipelined": "5f4af1674d4eeb76c1a5c84564ec38e64f5015d709bd2e20522fa5d831db17b6",
     "lab.rijndael.prediction.parallel": "d632c07d17ba817b31052fee54a7209cdbad7923c4261dba6c14ca6319da3b38",
     "lab.rijndael.prediction-batch4": "70515f0401fe8a43d97960a1a2b7f9b9e3dd4cca816e1f604f6721072ff96436",
@@ -155,6 +163,20 @@ def test_lab_run_uncharged(lab, governor):
         charge_switch=False, use_cache=False,
     )
     _check(f"lab.rijndael.{governor}.uncharged", [result])
+
+
+@pytest.mark.parametrize(
+    "app", ["curseofwar", "ldecode", "pocketsphinx", "sha", "uzbl", "xpilot"]
+)
+def test_lab_run_prediction_other_apps(lab, app):
+    result = lab.run(app, "prediction", n_jobs=40, use_cache=False)
+    _check(f"lab.{app}.prediction", [result])
+
+
+def test_lab_run_oracle_charged(lab):
+    """The oracle reads each job's true work before it runs."""
+    result = lab.run("sha", "oracle", n_jobs=40, use_cache=False)
+    _check("lab.sha.oracle", [result])
 
 
 def test_lab_run_adaptive(lab):
