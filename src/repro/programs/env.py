@@ -82,6 +82,10 @@ class Environment(Mapping[str, Value]):
     def inputs(self) -> Mapping[str, Value]:
         return dict(self._inputs)
 
+    def layers(self) -> tuple[dict, dict, dict]:
+        """The live (inputs, globals, locals) dicts, for compiled execution."""
+        return self._inputs, self._globals, self._locals
+
     def fresh_locals(self) -> "Environment":
         """Same inputs and globals, empty locals (a new job execution)."""
         return Environment(self._inputs, self._globals)

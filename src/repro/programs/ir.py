@@ -19,7 +19,7 @@ address (one-hot encoded later).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 from repro.programs.expr import Expr
@@ -281,6 +281,9 @@ class Program:
         body: Root statement.
         globals_init: Initial values of task globals (copied per run so a
             Program value is reusable).
+
+    A Program is immutable once built: the interpreter compiles it on
+    first run and caches the closures on the object.
     """
 
     name: str
@@ -290,6 +293,11 @@ class Program:
     def fresh_globals(self) -> dict:
         """A new mutable globals dict seeded from ``globals_init``."""
         return dict(self.globals_init)
+
+    def __getstate__(self) -> dict:
+        # The compiled closures cached by repro.programs.compiled cannot
+        # be pickled; an unpickled Program compiles again on first run.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def walk(stmt: Stmt) -> Iterator[Stmt]:
