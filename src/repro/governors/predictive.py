@@ -140,9 +140,9 @@ class PredictiveGovernor(Governor):
         The target level is unknown until after the decision, so take the
         95th-percentile time of the worst switch out of the current level.
         """
+        current = ctx.board.current_opp
         return max(
-            self.switch_table.time_s(ctx.board.current_opp, end)
-            for end in self.dvfs.opps
+            self.switch_table.time_s(current, end) for end in self.dvfs.opps
         )
 
     def choose(

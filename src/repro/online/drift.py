@@ -88,13 +88,16 @@ class PageHinkleyDetector(DriftDetector):
 
     def update(self, x: float) -> bool:
         x = float(x)
-        self._n += 1
-        self._mean += (x - self._mean) / self._n
-        self._cumulative += x - self._mean - self.delta
-        self._minimum = min(self._minimum, self._cumulative)
-        if self._n < self.min_samples:
+        n = self._n = self._n + 1
+        mean = self._mean = self._mean + (x - self._mean) / n
+        cumulative = self._cumulative = self._cumulative + (
+            x - mean - self.delta
+        )
+        if cumulative < self._minimum:
+            self._minimum = cumulative
+        if n < self.min_samples:
             return False
-        return self.statistic > self.threshold
+        return cumulative - self._minimum > self.threshold
 
     @property
     def statistic(self) -> float:
