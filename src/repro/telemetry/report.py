@@ -281,6 +281,7 @@ _LOWER_IS_BETTER = (
     "bound_exceeded",
     "external_arms",
     "us_per_job",
+    "calls_per_job",
     "wall_s",
 )
 
@@ -489,6 +490,9 @@ GATE_DEFAULT_METRICS = (
     # metrics (see BENCH_host_baseline.json).
     "host.jobs_per_sec",
     "host.us_per_job.total",
+    # Phase calls per job are host-independent counts: two task-program
+    # interpretations per job read 2.0 against a baseline of 1.0.
+    "host.calls_per_job.interp",
     # Static-analysis lint roll-up (``repro lint --trace``); the counts
     # are exact, so BENCH_lint_baseline.json pins them at zero drift.
     # ``lint.workloads`` is neutral — a changed workload count means the

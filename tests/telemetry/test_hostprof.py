@@ -209,6 +209,7 @@ class TestComponentAttribution:
         "module, expected",
         [
             ("repro.programs.interpreter", "interp"),
+            ("repro.programs.compiled", "interp"),
             ("repro.programs.expr", "ir"),
             ("repro.programs.env", "ir"),
             ("repro.models.anchor", "predict"),
@@ -309,6 +310,52 @@ class TestHotspots:
         var = next(r for r in rows if "Var.evaluate" in r.label)
         assert var.component == "ir"
 
+    def test_compiled_closures_are_interp_and_name_their_op(self):
+        label = "repro.programs.compiled:_compile_BinOp.<locals>.binary"
+        state = ProfileState(samples=4, stacks={f"m:a;{label}": 4})
+        (row,) = [r for r in hotspots(state) if r.label == label]
+        assert row.component == "interp"
+        assert "BinOp" in row.label
+
+    def test_sampled_compiled_run_names_ir_ops(self):
+        from repro.programs.expr import BinOp, Const, Var
+        from repro.programs.interpreter import Interpreter
+        from repro.programs.ir import Assign, Loop, Program, Seq
+
+        program = Program(
+            "t",
+            Loop(
+                "l",
+                Const(200),
+                Seq(
+                    [
+                        Assign("x", BinOp("%", Var("x"), Const(7))),
+                        Assign("y", BinOp("+", Var("x"), Var("n"))),
+                    ]
+                ),
+            ),
+            globals_init={"x": 3},
+        )
+        interpreter = Interpreter()
+        interpreter.execute(program, {"n": 1})  # compile outside the sample
+        sampler = StackSampler(interval=1)
+        sampler.start()
+        try:
+            interpreter.execute(program, {"n": 1})
+        finally:
+            sampler.stop()
+        rows = hotspots(
+            ProfileState(samples=sampler.samples, stacks=sampler.stacks),
+            top_n=100,
+        )
+        compiled = [
+            r for r in rows if r.label.startswith("repro.programs.compiled:")
+        ]
+        assert compiled
+        assert all(r.component == "interp" for r in compiled)
+        labels = " ".join(r.label for r in compiled)
+        assert "_compile_BinOp" in labels and "_compile_Assign" in labels
+
     def test_recursion_counted_once_per_stack(self):
         state = ProfileState(samples=2, stacks={"m:f;m:f;m:f": 2})
         (row,) = hotspots(state)
@@ -355,6 +402,40 @@ class TestHostMetrics:
             400.0
         )
         assert "host.us_per_job.other" in dump["gauges"]
+
+    def test_registers_phase_calls_per_job(self):
+        state = ProfileState(
+            jobs=10, wall_s=0.01,
+            phases={"interp": (10, 0.004), "switch": (4, 0.001)},
+        )
+        gauges = host_metrics(state)["gauges"]
+        assert gauges["host.calls_per_job.interp"] == 1.0
+        assert gauges["host.calls_per_job.switch"] == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_task_loop_interprets_each_job_once(self, oracle):
+        from repro.governors.oracle import OracleGovernor
+        from repro.governors.performance import PerformanceGovernor
+        from repro.platform.board import Board
+        from repro.platform.opp import default_xu3_a7_table
+        from repro.runtime.executor import TaskLoopRunner
+        from repro.workloads.registry import get_app
+
+        opps = default_xu3_a7_table()
+        app = get_app("rijndael")
+        hostprof = HostProfiler()
+        runner = TaskLoopRunner(
+            Board(opps=opps),
+            app.task,
+            OracleGovernor(opps) if oracle else PerformanceGovernor(opps),
+            app.inputs(12, seed=0),
+            provide_oracle_work=oracle,
+            hostprof=hostprof,
+        )
+        with hostprof.running():
+            runner.run()
+        gauges = host_metrics(hostprof.state())["gauges"]
+        assert gauges["host.calls_per_job.interp"] == 1.0
 
     def test_empty_profile_registers_no_gauges(self):
         dump = host_metrics(ProfileState())

@@ -154,6 +154,42 @@ class TestRunsFilter:
         assert metric_direction("host.jobs_per_sec") == "higher"
         assert metric_direction("host.us_per_job.total") == "lower"
         assert metric_direction("host.wall_s") == "lower"
+        assert metric_direction("host.calls_per_job.interp") == "lower"
+
+    def test_interp_calls_per_job_gate_fails_at_two_runs_a_job(
+        self, tmp_path
+    ):
+        """The committed host baseline pins one interpretation per job,
+        and its tolerance rejects a return to two."""
+        import json
+        import pathlib
+
+        from repro.telemetry.report import (
+            GATE_DEFAULT_METRICS,
+            gate_directory,
+        )
+
+        assert "host.calls_per_job.interp" in GATE_DEFAULT_METRICS
+        baseline = json.loads(
+            (
+                pathlib.Path(__file__).resolve().parents[2]
+                / "BENCH_host_baseline.json"
+            ).read_text()
+        )
+        run = "host.rijndael.prediction"
+        pinned = baseline["runs"][run]
+        assert pinned["host.calls_per_job.interp"] == 1.0
+        for calls, passed in ((1.0, True), (2.0, False)):
+            directory = tmp_path / f"calls{calls:g}"
+            directory.mkdir()
+            gauges = dict(pinned, **{"host.calls_per_job.interp": calls})
+            (directory / f"{run}.metrics.json").write_text(
+                json.dumps(
+                    {"counters": {}, "gauges": gauges, "histograms": {}}
+                )
+            )
+            result = gate_directory(directory, baseline, runs="host.")
+            assert result.passed is passed
 
 
 class TestMetricDirection:
