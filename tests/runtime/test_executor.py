@@ -422,3 +422,100 @@ class TestMidJobRetargeting:
         assert len(retargets) == 1
         assert retargets[0].ts_s == pytest.approx(0.004)
         assert retargets[0].args["to_mhz"] == OPPS.fmax.freq_mhz
+
+
+class CountingInterpreter(Interpreter):
+    """Counts task-program interpretations (slices run elsewhere)."""
+
+    def __init__(self):
+        super().__init__()
+        self.runs = 0
+
+    def execute(self, program, inputs, globals_=None):
+        self.runs += 1
+        return super().execute(program, inputs, globals_)
+
+    def execute_isolated(self, program, inputs, globals_):
+        self.runs += 1
+        return super().execute_isolated(program, inputs, globals_)
+
+
+class OracleWitness(FixedGovernor):
+    """Runs at one level and records the oracle work it was handed."""
+
+    def __init__(self, opp):
+        super().__init__(opp)
+        self.oracle_work = []
+
+    def decide(self, ctx):
+        self.oracle_work.append(ctx.oracle_work)
+        return super().decide(ctx)
+
+
+def ticketed_program():
+    """Impure on purpose: each interpretation draws fresh tickets.
+
+    Running a job's program more than once is then observable, in the
+    work (the loop's trip count) and in the committed globals.
+    """
+    from tests.programs.test_compiled import Ticket
+
+    ticket = Ticket()
+    return Program(
+        "ticketed",
+        Seq(
+            [
+                Assign("seen", Var("seen") + ticket),
+                Loop("work", ticket, Block(1000, 2.0), max_trips=10_000),
+            ]
+        ),
+        globals_init={"seen": 0},
+    )
+
+
+class TestOneInterpretationPerJob:
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_task_program_runs_once_per_job(self, oracle):
+        interpreter = CountingInterpreter()
+        run_task(
+            stateful_program(),
+            OracleWitness(OPPS.fmax),
+            [{}] * 6,
+            interpreter=interpreter,
+            provide_oracle_work=oracle,
+        )
+        assert interpreter.runs == 6
+
+    def test_oracle_work_is_the_executed_work(self, monkeypatch):
+        executed = []
+        original = TaskLoopRunner._execute_work
+
+        def spy(self, work, *args, **kwargs):
+            executed.append(work)
+            return original(self, work, *args, **kwargs)
+
+        monkeypatch.setattr(TaskLoopRunner, "_execute_work", spy)
+        governor = OracleWitness(OPPS.fmax)
+        run_task(
+            ticketed_program(), governor, [{}] * 5, provide_oracle_work=True
+        )
+        assert governor.oracle_work == executed
+        assert len(executed) == 5
+
+    def test_live_globals_equal_sequential_reference_runs(self):
+        from repro.programs.interpreter import ReferenceInterpreter
+
+        board = Board()
+        program = ticketed_program()
+        runner = TaskLoopRunner(
+            board,
+            Task(program.name, program, 0.050),
+            OracleWitness(OPPS.fmax),
+            [{}] * 7,
+        )
+        runner.run()
+        reference = ticketed_program()
+        globals_ = reference.fresh_globals()
+        for _ in range(7):
+            ReferenceInterpreter().execute(reference, {}, globals_)
+        assert runner._task_globals == globals_ == {"seen": 49}
