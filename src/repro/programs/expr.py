@@ -9,6 +9,7 @@ based only on variable names").
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from typing import Callable, Mapping
 
@@ -27,9 +28,9 @@ __all__ = [
 Value = int | float | bool
 
 _BIN_OPS: dict[str, Callable[[Value, Value], Value]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "//": lambda a, b: a // b if b != 0 else 0,
     "/": lambda a, b: a / b if b != 0 else 0.0,
     "%": lambda a, b: a % b if b != 0 else 0,
@@ -38,17 +39,17 @@ _BIN_OPS: dict[str, Callable[[Value, Value], Value]] = {
 }
 
 _CMP_OPS: dict[str, Callable[[Value, Value], bool]] = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 _UNARY_OPS: dict[str, Callable[[Value], Value]] = {
-    "-": lambda a: -a,
-    "not": lambda a: not a,
+    "-": operator.neg,
+    "not": operator.not_,
     "abs": abs,
     "int": int,
 }
