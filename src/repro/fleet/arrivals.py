@@ -33,13 +33,20 @@ __all__ = [
 
 
 class ArrivalProcess(ABC):
-    """Generates one session's job release times."""
+    """Generates one session's job release times.
+
+    Attributes:
+        draws: Whether :meth:`arrivals` reads its ``rng``.  A process
+            that draws nothing may be passed ``None``, so a session
+            seeds no stream for it.
+    """
 
     kind: str
+    draws = True
 
     @abstractmethod
     def arrivals(
-        self, n_jobs: int, period_s: float, rng: random.Random
+        self, n_jobs: int, period_s: float, rng: random.Random | None
     ) -> list[float]:
         """``n_jobs`` non-decreasing release times starting at 0.0.
 
@@ -70,9 +77,10 @@ class PeriodicArrivals(ArrivalProcess):
     """The paper's release model: one job per period, no randomness."""
 
     kind = "periodic"
+    draws = False
 
     def arrivals(
-        self, n_jobs: int, period_s: float, rng: random.Random
+        self, n_jobs: int, period_s: float, rng: random.Random | None
     ) -> list[float]:
         self._check(n_jobs, period_s)
         return [i * period_s for i in range(n_jobs)]

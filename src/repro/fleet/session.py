@@ -17,7 +17,6 @@ inherits the trained artifacts for free.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -38,6 +37,8 @@ from repro.telemetry.slo import (
 )
 
 __all__ = ["FleetBuild", "SessionResult", "Session", "run_session", "lab_for"]
+
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,10 @@ class Session:
         n_jobs = tenant.jobs_per_session
         root = build.root_seed
 
-        arrival_rng = random.Random(
-            session_seed(root, tenant.name, index, "arrivals")
+        arrival_rng = (
+            random.Random(session_seed(root, tenant.name, index, "arrivals"))
+            if tenant.arrival.draws
+            else None
         )
         arrivals = tenant.arrival.arrivals(n_jobs, budget, arrival_rng)
 
@@ -200,8 +203,8 @@ class Session:
             return False
         energy = self.runner.board.energy_j()
         predicted = record.predicted_time_s
-        residual = float("nan")
-        if not math.isnan(predicted) and predicted > 0:
+        residual = _NAN
+        if predicted > 0:  # False for NaN as well
             residual = (record.exec_time_s - predicted) / predicted
         observation = JobObservation(
             index=record.index,

@@ -89,7 +89,10 @@ class SwitchLatencyModel:
         self.kernel_overhead_s = kernel_overhead_s
         self.settle_s_per_volt = settle_s_per_volt
         self.noise_sigma = noise_sigma
-        self._rng = random.Random(seed)
+        # Seeded on the first draw: seeding costs microseconds, and many
+        # short runs never switch.
+        self._seed = seed
+        self._rng: random.Random | None = None
 
     def nominal_s(self, start: OperatingPoint, end: OperatingPoint) -> float:
         """Median (noise-free) switch latency."""
@@ -103,7 +106,10 @@ class SwitchLatencyModel:
         nominal = self.nominal_s(start, end)
         if nominal == 0.0:
             return 0.0
-        return nominal * math.exp(self._rng.gauss(0.0, self.noise_sigma))
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._seed)
+        return nominal * math.exp(rng.gauss(0.0, self.noise_sigma))
 
     def percentile_s(
         self, start: OperatingPoint, end: OperatingPoint, pct: float

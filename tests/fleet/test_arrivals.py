@@ -60,6 +60,12 @@ class TestScheduleContract:
             0.0, 0.05, 0.1, pytest.approx(0.15)
         ]
 
+    def test_only_periodic_releases_draw_nothing(self):
+        assert [p.draws for p in ALL_PROCESSES] == [False, True, True, True]
+        assert PeriodicArrivals().arrivals(3, 0.05, None) == (
+            PeriodicArrivals().arrivals(3, 0.05, random.Random(0))
+        )
+
     def test_poisson_rate_scales_throughput(self):
         rng = random.Random(11)
         slow = PoissonArrivals(rate=1.0).arrivals(400, 0.05, rng)

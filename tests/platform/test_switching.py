@@ -1,5 +1,8 @@
 """Tests for the DVFS switch latency model and microbenchmark."""
 
+import math
+import random
+
 import pytest
 
 from repro.platform.opp import default_xu3_a7_table
@@ -63,6 +66,19 @@ class TestSampling:
         sa = [a.sample_s(OPPS[0], OPPS[12]) for _ in range(10)]
         sb = [b.sample_s(OPPS[0], OPPS[12]) for _ in range(10)]
         assert sa == sb
+
+    def test_draws_follow_the_seeded_stream(self):
+        """The stream is seeded on the first draw, from the given seed."""
+        model = SwitchLatencyModel(OPPS, seed=5)
+        rng = random.Random(5)
+        nominal = model.nominal_s(OPPS[0], OPPS[12])
+        expected = [
+            nominal * math.exp(rng.gauss(0.0, model.noise_sigma))
+            for _ in range(10)
+        ]
+        assert [model.sample_s(OPPS[0], OPPS[12]) for _ in range(10)] == (
+            expected
+        )
 
     def test_percentile_bounds_samples(self):
         model = SwitchLatencyModel(OPPS, seed=9)

@@ -129,6 +129,26 @@ class TestStateMechanics:
                 spec=spec, jobs=9, bad=0, rings=((False,) * 9,)
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(spec=specs, stream=streams)
+    def test_state_rings_are_the_window_tails(self, spec, stream):
+        """Ring ``i`` is the last ``windows[i].jobs`` classifications."""
+        state = _observe_stream(spec, stream).state()
+        for window, ring in zip(spec.windows, state.rings):
+            assert ring == tuple(stream[-window.jobs:] if stream else ())
+        assert SloTracker.from_state(state).state() == state
+
+    def test_from_state_rejects_rings_of_different_streams(self):
+        spec = _spec(windows=((4, 2.0), (2, 4.0)))
+        state = SloTrackerState(
+            spec=spec,
+            jobs=4,
+            bad=1,
+            rings=((True, False, False, False), (True, False)),
+        )
+        with pytest.raises(ValueError, match="tails of one"):
+            SloTracker.from_state(state)
+
     def test_from_state_resumes_the_stream(self):
         """A resumed tracker continues exactly where the stream stopped."""
         spec = _spec(windows=((6, 2.0), (3, 4.0)))
