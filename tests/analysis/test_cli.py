@@ -1,6 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +27,38 @@ class TestCliBasics:
         assert main(["fig02", "--jobs", "20"]) == 0
         out = capsys.readouterr().out
         assert "Fig. 2" in out
+
+
+class TestClosedStdout:
+    """``repro ... | head`` must not end in a BrokenPipeError traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["list"],
+            [
+                "profile", "rijndael", "--jobs", "5", "--profile-jobs",
+                "10", "--sample-interval", "0",
+            ],
+        ],
+        ids=["list", "profile"],
+    )
+    def test_reader_closing_early_exits_quietly(self, argv, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(__file__).parents[2] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=tmp_path,
+            env=env,
+        )
+        proc.stdout.close()  # the reader goes away before any output
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
 
 
 class TestCliRuns:
