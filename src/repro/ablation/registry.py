@@ -17,10 +17,9 @@ config overrides that disable it:
     run-time loop only; the controller is shared with the baseline).
 
 The ablation *baseline* is the full mechanism set: paper-default
-pipeline knobs plus an :class:`AdaptiveConfig` with the certificate
-bound-skip armed (the one mechanism the historical adaptive path left
-off by default).  Variants are produced by merging one or more
-components' off-overrides onto that baseline.
+pipeline knobs plus the default :class:`AdaptiveConfig`.  Variants are
+produced by merging one or more components' off-overrides onto that
+baseline.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ __all__ = [
     "COMPONENTS",
     "Platform",
     "PLATFORMS",
-    "baseline_adaptive",
     "baseline_pipeline",
     "batch_governor",
     "component_names",
@@ -130,17 +128,6 @@ COMPONENTS: tuple[Component, ...] = (
         adaptive_off=(("recalibrate", False),),
     ),
     Component(
-        name="bound_skip",
-        title="certifier bound-skip",
-        summary=(
-            "Use the slice certificate's worst-case cost bound in the "
-            "decision path: skip the slice (pin fmax) when even the "
-            "bound cannot fit, and keep its unspent remainder reserved; "
-            "off = the certificate is ignored at run time."
-        ),
-        adaptive_off=(("bound_skip", False),),
-    ),
-    Component(
         name="fallback",
         title="fallback arming",
         summary=(
@@ -187,16 +174,6 @@ def baseline_pipeline(
     )
 
 
-def baseline_adaptive() -> AdaptiveConfig:
-    """The all-components-on online configuration.
-
-    ``bound_skip=True`` arms the one mechanism the historical adaptive
-    path left off, so the ablation can measure it rather than report a
-    structural zero.
-    """
-    return AdaptiveConfig(bound_skip=True)
-
-
 def configs_without(
     disabled: Iterable[str],
     pipeline: PipelineConfig | None = None,
@@ -211,7 +188,7 @@ def configs_without(
         KeyError: When a name is not registered.
     """
     pipeline = pipeline if pipeline is not None else baseline_pipeline()
-    adaptive = adaptive if adaptive is not None else baseline_adaptive()
+    adaptive = adaptive if adaptive is not None else AdaptiveConfig()
     wanted = set(disabled)
     for name in wanted:
         get_component(name)  # validate before mutating anything

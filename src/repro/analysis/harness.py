@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 from repro.governors.base import Governor
 from repro.governors.conservative import ConservativeGovernor
-from repro.governors.idle import IdlePolicy
 from repro.governors.interactive import InteractiveGovernor
 from repro.governors.ondemand import OndemandGovernor
 from repro.governors.oracle import OracleGovernor
@@ -109,7 +108,6 @@ class Lab:
         self._controllers: dict[tuple, TrainedController] = {}
         self._apps: dict[str, InteractiveApp] = {}
         self._run_cache: dict[_RunKey, RunResult] = {}
-        self._optimized_programs: dict[str, object] = {}
 
     def telemetry_for(self, run_name: str) -> Telemetry:
         """A telemetry pipeline for one run (no-op without a session).
@@ -147,20 +145,6 @@ class Lab:
                 interpreter=self.interpreter,
             )
         return self._controllers[key]
-
-    def optimized_task_program(self, app_name: str):
-        """The app's task program through the validated IR optimizer.
-
-        Cached per app: the optimized program is deterministic and the
-        translation validator has already vetted every kept rewrite, so
-        all runs (any governor/budget) can share it.
-        """
-        if app_name not in self._optimized_programs:
-            from repro.programs.opt import optimize_program
-
-            result = optimize_program(self.app(app_name).task.program)
-            self._optimized_programs[app_name] = result.program
-        return self._optimized_programs[app_name]
 
     def make_governor(
         self,
@@ -282,24 +266,14 @@ class Lab:
             self.seed, app_name, governor_name, key.budget_ms
         )
         board = self.make_board(run_seed)
-        task = app.task.with_budget(budget)
-        effective_config = (
-            pipeline_config
-            if pipeline_config is not None
-            else self.pipeline_config
-        )
-        if effective_config.optimize == "all":
-            task = replace(
-                task, program=self.optimized_task_program(app_name)
-            )
         runner = TaskLoopRunner(
             board=board,
-            task=task,
+            task=app.task.with_budget(budget),
             governor=governor,
             inputs=app.inputs(jobs, seed=self.seed),
             interpreter=self.interpreter,
             placement=placement,
-            idle_policy=IdlePolicy(enabled=idle),
+            idle=idle,
             charge_predictor=charge_predictor,
             charge_switch=charge_switch,
             provide_oracle_work=(governor_name == "oracle"),

@@ -57,68 +57,49 @@ class AdaptiveMode(enum.Enum):
     FALLBACK = "fallback"
 
 
+#: RLS forgetting factor (0.98 remembers ~50 jobs).
+RLS_FORGETTING = 0.98
+#: Initial RLS covariance: trust in the offline fit.
+RLS_P0 = 0.05
+#: Page–Hinkley mean-shift tolerance (relative-residual units; shifts
+#: below this are noise) and alarm level.
+PH_DELTA = 0.05
+PH_THRESHOLD = 0.4
+#: Observed jobs before drift detection may alarm.
+WARMUP_JOBS = 10
+#: Minimum jobs spent in fallback before re-engaging.
+COOLDOWN_JOBS = 10
+#: Shadow |relative residual| EWMA must fall below this before
+#: prediction re-engages.
+REENGAGE_ABS_RESIDUAL = 0.10
+#: Fixed per-job cost of the feedback step (monitor + detector updates)
+#: and the RLS update's cost per feature² (the rank-1 covariance update
+#: is O(n²)), in CPU cycles.
+UPDATE_BASE_CYCLES = 15_000.0
+UPDATE_CYCLES_PER_FEATURE_SQ = 40.0
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Knobs of the online adaptation loop.
+    """The switches of the online adaptation loop the ablation turns off.
 
     Attributes:
-        rls_forgetting: RLS forgetting factor (0.98 remembers ~50 jobs).
-        rls_p0: Initial RLS covariance — trust in the offline fit.
         under_weight: RLS sample weight for under-predicted jobs (online
             stand-in for the paper's asymmetric penalty alpha).
-        ph_delta: Page–Hinkley mean-shift tolerance (relative-residual
-            units; shifts below this are noise).
-        ph_threshold: Page–Hinkley alarm level.
-        warmup_jobs: Observed jobs before drift detection may alarm.
-        cooldown_jobs: Minimum jobs spent in fallback before re-engaging.
-        reengage_abs_residual: Shadow |relative residual| EWMA must fall
-            below this before prediction re-engages.
-        update_base_cycles: Fixed per-job cost of the feedback step
-            (monitor + detector updates), in CPU cycles.
-        update_cycles_per_feature_sq: RLS update cost per feature², in
-            CPU cycles (the rank-1 covariance update is O(n²)).
         recalibrate: Feed observed residuals back into the anchor
             models (the online RLS update).  False freezes the offline
             coefficients — drift is still *detected* but never learned
             away — and drops the O(features²) part of the feedback
-            bill.  Exists for ablations.
+            bill.
         fallback_armed: Allow the mode machine to leave PREDICT.  False
             disarms both the drift detector's alarm and external
             :meth:`AdaptiveGovernor.arm_fallback` calls, so prediction
-            keeps driving through drift.  Exists for ablations.
-        bound_skip: Use a tight slice-cost certificate in the predict
-            path the way the frozen governor does: pre-flight the
-            certified worst case (pin fmax without slicing when even
-            the bound cannot fit) and keep the bound's unspent
-            remainder reserved while choosing.  Off by default — the
-            historical adaptive path never consulted the certificate —
-            and armed by the ablation baseline so its value is
-            measurable.
+            keeps driving through drift.
     """
 
-    rls_forgetting: float = 0.98
-    rls_p0: float = 0.05
     under_weight: float = 25.0
-    ph_delta: float = 0.05
-    ph_threshold: float = 0.4
-    warmup_jobs: int = 10
-    cooldown_jobs: int = 10
-    reengage_abs_residual: float = 0.10
-    update_base_cycles: float = 15_000.0
-    update_cycles_per_feature_sq: float = 40.0
     recalibrate: bool = True
     fallback_armed: bool = True
-    bound_skip: bool = False
-
-    def __post_init__(self) -> None:
-        if self.warmup_jobs < 1:
-            raise ValueError("warmup_jobs must be >= 1")
-        if self.cooldown_jobs < 1:
-            raise ValueError("cooldown_jobs must be >= 1")
-        if self.reengage_abs_residual <= 0:
-            raise ValueError("reengage_abs_residual must be positive")
-        if self.update_base_cycles < 0 or self.update_cycles_per_feature_sq < 0:
-            raise ValueError("update cost cycles must be non-negative")
 
 
 class AdaptiveGovernor(Governor):
@@ -156,8 +137,8 @@ class AdaptiveGovernor(Governor):
         else:
             self.predictor = OnlineTimePredictor(
                 offline,
-                lam=cfg.rls_forgetting,
-                p0=cfg.rls_p0,
+                lam=RLS_FORGETTING,
+                p0=RLS_P0,
                 under_weight=cfg.under_weight,
             )
         self.inner = PredictiveGovernor(
@@ -178,9 +159,9 @@ class AdaptiveGovernor(Governor):
             detector
             if detector is not None
             else PageHinkleyDetector(
-                delta=cfg.ph_delta,
-                threshold=cfg.ph_threshold,
-                min_samples=cfg.warmup_jobs,
+                delta=PH_DELTA,
+                threshold=PH_THRESHOLD,
+                min_samples=WARMUP_JOBS,
             )
         )
         self.mode = AdaptiveMode.PREDICT
@@ -240,9 +221,15 @@ class AdaptiveGovernor(Governor):
         """Run the slice (always — shadow predictions feed recalibration),
         then decide via prediction or the fallback policy."""
         inner = self.inner
-        bound_work = None
-        if self.config.bound_skip and self.mode is AdaptiveMode.PREDICT:
-            bound_work = inner.slice_bound_work()
+        # While predicting, pre-flight the certified worst-case slice cost
+        # the way the frozen governor does: pin fmax without slicing when
+        # even the bound cannot fit, and keep its unspent remainder
+        # reserved while choosing.
+        bound_work = (
+            inner.slice_bound_work()
+            if self.mode is AdaptiveMode.PREDICT
+            else None
+        )
         skipped = inner.preflight(ctx, bound_work, auditor=self)
         if skipped is not None:
             # No slice ran, so there is nothing to learn from this job;
@@ -356,9 +343,9 @@ class AdaptiveGovernor(Governor):
                     ).inc()
         else:
             stable = (
-                self.jobs_in_mode >= self.config.cooldown_jobs
+                self.jobs_in_mode >= COOLDOWN_JOBS
                 and self.monitor.magnitude.get(default=1.0)
-                < self.config.reengage_abs_residual
+                < REENGAGE_ABS_RESIDUAL
             )
             if stable:
                 self.mode = AdaptiveMode.PREDICT
@@ -378,11 +365,11 @@ class AdaptiveGovernor(Governor):
 
         n = self.predictor.n_features
         rls_cycles = (
-            self.config.update_cycles_per_feature_sq * float(n * n)
+            UPDATE_CYCLES_PER_FEATURE_SQ * float(n * n)
             if self.config.recalibrate
             else 0.0
         )
-        return Work(cycles=self.config.update_base_cycles + rls_cycles)
+        return Work(cycles=UPDATE_BASE_CYCLES + rls_cycles)
 
     def arm_fallback(self, reason: str = "external", t_s: float = 0.0) -> bool:
         """Force the deadline-safe fallback mode from outside the loop.

@@ -81,7 +81,7 @@ def _dce_round(
 ) -> tuple[Program, list[RewriteStep]]:
     liveness = live_variables(program)
     defined = must_defined(program, ctx.input_names)
-    intervals = opt_interval_engine(program, ctx.fold_ranges)
+    intervals = opt_interval_engine(program)
     steps: list[RewriteStep] = []
 
     def cost_block(cost: float, label: str) -> Stmt:

@@ -96,7 +96,7 @@ def fold(
 def _fold_round(
     program: Program, ctx: OptContext
 ) -> tuple[Program, list[RewriteStep]]:
-    intervals = opt_interval_engine(program, ctx.fold_ranges)
+    intervals = opt_interval_engine(program)
     defined = must_defined(program, ctx.input_names)
     reach_pass = ReachingDefinitions(program.body)
     reach = DataflowEngine(reach_pass)

@@ -131,17 +131,12 @@ class OptContext:
         input_names: The program's declared inputs (entry-bound names).
         input_ranges: Input ranges for cost-bound *comparison* (always
             sound to use: both sides of a rewrite are bounded under the
-            same assumption).
-        fold_ranges: Input ranges the *fold* pass may assume when
-            deciding rewrites — None unless the caller opted in, since
-            a range-derived fold only preserves semantics for inputs
-            inside the declared ranges.
+            same assumption).  Rewrite decisions never assume them.
         fresh: Temp-name allocator shared by all passes.
     """
 
     input_names: frozenset[str]
     input_ranges: dict | None = None
-    fold_ranges: dict | None = None
     fresh: FreshNames = field(default_factory=lambda: FreshNames(()))
 
 

@@ -23,7 +23,6 @@ import math
 from typing import Mapping, Sequence
 
 from repro.governors.base import Decision, Governor, JobContext
-from repro.governors.idle import IdlePolicy
 from repro.governors.predictive import PredictiveGovernor
 from repro.platform.board import Board
 from repro.platform.cpu import Work
@@ -41,6 +40,11 @@ __all__ = ["TaskLoopRunner"]
 
 _EPS = 1e-12
 
+#: Idling (paper §5.5, Fig. 21) skips gaps shorter than this: they are
+#: not worth two DVFS switches.  4 ms is about twice the typical switch
+#: latency.
+IDLE_MIN_GAP_S = 0.004
+
 
 class TaskLoopRunner:
     """Runs a task's job stream under one governor.
@@ -53,7 +57,8 @@ class TaskLoopRunner:
         interpreter: Executes the task program (job semantics + work).
         placement: Predictor placement mode (only affects
             :class:`~repro.governors.predictive.PredictiveGovernor`).
-        idle_policy: Between-job idling configuration (Fig. 21).
+        idle: Drop to fmin between jobs when the gap exceeds
+            :data:`IDLE_MIN_GAP_S` (the paper's §5.5 idling, Fig. 21).
         charge_predictor: Charge predictor time/energy (False for Fig. 18).
         charge_switch: Charge DVFS switch time/energy (False for Fig. 18).
         provide_oracle_work: Give governors the true per-job work
@@ -90,7 +95,7 @@ class TaskLoopRunner:
         inputs: Sequence[Mapping[str, Value]],
         interpreter: Interpreter | None = None,
         placement: PredictorPlacement = PredictorPlacement.SEQUENTIAL,
-        idle_policy: IdlePolicy | None = None,
+        idle: bool = False,
         charge_predictor: bool = True,
         charge_switch: bool = True,
         provide_oracle_work: bool = False,
@@ -107,7 +112,7 @@ class TaskLoopRunner:
         self.inputs = list(inputs)
         self.interpreter = interpreter if interpreter is not None else Interpreter()
         self.placement = placement
-        self.idle_policy = idle_policy if idle_policy is not None else IdlePolicy()
+        self.idle = idle
         self.charge_predictor = charge_predictor
         self.charge_switch = charge_switch
         self.provide_oracle_work = provide_oracle_work
@@ -581,7 +586,7 @@ class TaskLoopRunner:
         gap = arrival - board.now
         if gap <= 0:
             return
-        if self.idle_policy.should_idle(gap):
+        if self.idle and gap > IDLE_MIN_GAP_S:
             self._restore_opp = board.current_opp
             self._switch(board.opps.fmin)
         while board.now < arrival - _EPS:

@@ -122,7 +122,6 @@ from repro.telemetry.slo import (
 )
 from repro.telemetry.watch import (
     Watchdog,
-    WatchdogConfig,
     render_dashboard,
 )
 
@@ -212,6 +211,5 @@ __all__ = [
     "merge_states",
     "default_slos",
     "Watchdog",
-    "WatchdogConfig",
     "render_dashboard",
 ]

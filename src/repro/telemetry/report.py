@@ -531,7 +531,6 @@ GATE_DEFAULT_METRICS = (
     "ablate.safety_margin.energy_delta_frac",
     "ablate.slicing.importance",
     "ablate.recalibration.importance",
-    "ablate.bound_skip.importance",
     "ablate.fallback.importance",
 )
 

@@ -5,13 +5,13 @@ import pytest
 from repro.ablation.registry import (
     COMPONENTS,
     PLATFORMS,
-    baseline_adaptive,
     baseline_pipeline,
     batch_governor,
     component_names,
     configs_without,
     get_component,
 )
+from repro.governors.adaptive import AdaptiveConfig
 
 
 class TestRegistryShape:
@@ -40,8 +40,7 @@ class TestConfigsWithout:
     def test_nothing_disabled_is_the_baseline(self):
         pipeline, adaptive = configs_without(())
         assert pipeline == baseline_pipeline()
-        assert adaptive == baseline_adaptive()
-        assert adaptive.bound_skip  # the matrix baseline arms it
+        assert adaptive == AdaptiveConfig()
 
     def test_asymmetric_loss_off_is_symmetric_everywhere(self):
         pipeline, adaptive = configs_without(("asymmetric_loss",))
@@ -53,7 +52,7 @@ class TestConfigsWithout:
         the pipeline's is the whole off-state."""
         pipeline, adaptive = configs_without(("safety_margin",))
         assert pipeline.margin == 0.0
-        assert adaptive == baseline_adaptive()
+        assert adaptive == AdaptiveConfig()
 
     def test_slicing_off_runs_the_full_program(self):
         pipeline, _ = configs_without(("slicing",))

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.governors.base import JobContext
-from repro.governors.idle import IdlePolicy
 from repro.governors.interactive import InteractiveGovernor
 from repro.governors.ondemand import OndemandGovernor
 from repro.governors.oracle import OracleGovernor
@@ -325,18 +324,3 @@ class TestPredictiveGovernor:
         estimate = gov.switch_estimate_s(ctx)
         for end in OPPS:
             assert estimate >= table.time_s(board.current_opp, end)
-
-
-class TestIdlePolicy:
-    def test_disabled_never_idles(self):
-        assert not IdlePolicy(enabled=False).should_idle(1.0)
-
-    def test_enabled_idles_long_gaps(self):
-        assert IdlePolicy(enabled=True).should_idle(0.020)
-
-    def test_short_gap_not_worth_it(self):
-        assert not IdlePolicy(enabled=True, min_gap_s=0.004).should_idle(0.002)
-
-    def test_negative_min_gap_rejected(self):
-        with pytest.raises(ValueError):
-            IdlePolicy(min_gap_s=-1.0)

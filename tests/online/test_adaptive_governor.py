@@ -4,19 +4,12 @@ import pytest
 
 from tests.online.conftest import make_predictive, run_toy
 
-from repro.governors.adaptive import (
-    AdaptiveConfig,
-    AdaptiveGovernor,
-    AdaptiveMode,
-)
+from repro.governors.adaptive import AdaptiveGovernor, AdaptiveMode
 from repro.online.drift import CusumDetector
 
 
-def make_adaptive(toy_stack, **config_kwargs) -> AdaptiveGovernor:
-    return AdaptiveGovernor(
-        make_predictive(toy_stack),
-        config=AdaptiveConfig(**config_kwargs) if config_kwargs else None,
-    )
+def make_adaptive(toy_stack) -> AdaptiveGovernor:
+    return AdaptiveGovernor(make_predictive(toy_stack))
 
 
 def window_miss(jobs, start, stop):

@@ -23,7 +23,6 @@ from repro.programs.ir import (
 from repro.programs.opt import (
     OPT_TEMP_PREFIX,
     FreshNames,
-    OptConfig,
     OptContext,
     cse,
     dce,
@@ -44,7 +43,6 @@ def ctx_for(program, input_ranges=None):
     return OptContext(
         input_names=frozenset(("in_a", "in_b")),
         input_ranges=dict(input_ranges) if input_ranges else None,
-        fold_ranges=None,
         fresh=FreshNames(program_names(program)),
     )
 
@@ -413,19 +411,6 @@ class TestDriver:
         assert not result.changed
         assert result.program is program
         assert result.validated
-
-    def test_pass_switches_disable_passes(self):
-        program = self.demo()
-        result = optimize_program(
-            program,
-            config=OptConfig(fold=False, cse=False, licm=False),
-        )
-        assert result.validated
-        assert not any(
-            c.pass_name in ("fold", "cse", "licm")
-            for c in result.certificates
-        )
-        assert_equivalent(program, result.program, JOBS)
 
     def test_node_count_counts_statements(self):
         assert node_count(prog(Block(1.0), Block(2.0))) == 3  # Seq + 2

@@ -13,7 +13,7 @@ import pytest
 from repro.programs.expr import Const, Var
 from repro.programs.instrument import Instrumenter
 from repro.programs.ir import Assign, Block, Hint, Program, Seq
-from repro.programs.opt import OPT_TEMP_PREFIX, OptConfig, RewriteStep
+from repro.programs.opt import OPT_TEMP_PREFIX, RewriteStep
 from repro.programs.opt import driver as opt_driver
 from repro.programs.opt.driver import optimize_program
 from repro.workloads.registry import app_names, get_app
@@ -141,7 +141,7 @@ class TestValidatorRejectsBrokenPasses:
         self, monkeypatch
     ):
         # Negative control: the validator, not luck, is what blocks the
-        # broken rewrite.
+        # broken rewrite.  A validator that passes everything lets it in.
         program = base_program()
         install_broken(
             monkeypatch,
@@ -149,7 +149,10 @@ class TestValidatorRejectsBrokenPasses:
                 p, body=Seq(tuple(p.body.stmts) + (Block(1000.0),))
             ),
         )
-        result = optimize_program(program, config=OptConfig(validate=False))
+        monkeypatch.setattr(
+            opt_driver, "validate_rewrite", lambda *args, **kwargs: []
+        )
+        result = optimize_program(program)
         assert result.changed
         jobs = [{"in_a": 3}]
         trace_orig, _ = run_trace(program, jobs)
