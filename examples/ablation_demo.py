@@ -3,9 +3,10 @@
 The reproduction's governor stacks several mechanisms on top of the
 paper's core predict-then-pick loop: the asymmetric training objective
 (§3.3), the safety margin (§3.4), program slicing (§3.2), online
-recalibration, the certificate bound-skip, and the drift fallback.  An *ablation matrix* answers the natural question
-— what does each one buy? — by disabling them one at a time and
-replaying byte-identical job streams against the all-on baseline.
+recalibration, and the drift fallback.  An *ablation matrix* answers
+the natural question — what does each one buy? — by disabling them one
+at a time and replaying byte-identical job streams against the all-on
+baseline.
 
 This demo ablates two components on rijndael under heavy timing jitter
 (where safety mechanisms earn their keep) and prints the ranked
