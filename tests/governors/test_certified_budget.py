@@ -12,6 +12,7 @@ Three behaviours, all off by default (no certificate):
 
 import pytest
 
+from repro.governors.adaptive import AdaptiveGovernor, AdaptiveMode
 from repro.governors.base import JobContext
 from repro.governors.predictive import PredictiveGovernor
 from repro.platform.board import Board
@@ -170,6 +171,35 @@ class TestBoundSkip:
         decision = governor.decide(ctx)
         assert decision is not None
         assert board.now == 0.0
+
+
+class TestAdaptiveBoundSkip:
+    """The adaptive governor pre-flights the certified bound while it
+    predicts, as the frozen governor does."""
+
+    def test_predict_mode_pins_fmax_without_running_slice(
+        self, trained_stack
+    ):
+        governor = AdaptiveGovernor(
+            make_governor(trained_stack, make_cert(1e9))
+        )
+        assert governor.mode is AdaptiveMode.PREDICT
+        decision, record, board, telemetry = audited_decide(governor)
+        assert decision.opp == OPPS.fmax
+        assert record.mode == "bound-skip"
+        assert board.now == 0.0
+        assert telemetry.metrics.counter("predict.bound_skips").value == 1
+
+    def test_fallback_mode_still_runs_shadow_slice(self, trained_stack):
+        # Fallback learns from every job, so no bound skips the slice.
+        governor = AdaptiveGovernor(
+            make_governor(trained_stack, make_cert(1e9))
+        )
+        assert governor.arm_fallback(reason="test")
+        _, record, board, telemetry = audited_decide(governor)
+        assert record.mode == AdaptiveMode.FALLBACK.value
+        assert board.now > 0.0
+        assert telemetry.metrics.counter("predict.bound_skips").value == 0
 
 
 class TestCertifierTelemetry:
